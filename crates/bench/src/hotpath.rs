@@ -4,7 +4,7 @@
 //! sharer-state lookups. This module times the three structures that
 //! carry that load — the interned flat access-bit tables, the
 //! region-boundary flush sets, and the AIM spill/refill path — plus
-//! one end-to-end simulation to anchor wall time per simulated access.
+//! one pinned paper workload to anchor wall time per simulated access.
 //! The flat-table cases run against a `std::collections` reference
 //! implementation doing the identical work, which is what backs the
 //! "flat storage is ≥2x a hash map on the raw access path" claim in
@@ -18,13 +18,12 @@
 //! section that the CI diff ignores.
 
 use crate::bencher::Bencher;
-use crate::runner::run_one;
 use rce_common::{
-    AimConfig, CoreId, Cycles, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
+    AimConfig, CoreId, LineAddr, LineFlags, LineMap, LineSet, LineTable, MachineConfig,
     ProtocolKind, RegionId, Rng, SplitMix64, WordIdx, WordMask,
 };
-use rce_core::{AccessFilter, AccessType, AimMeta, Machine, ReadyQueue};
-use rce_trace::{Builder, Program, WorkloadSpec};
+use rce_core::{AccessType, AimMeta, Machine};
+use rce_trace::{Program, WorkloadSpec};
 use std::collections::{HashMap, HashSet};
 use std::hint::black_box;
 use std::time::Instant;
@@ -34,10 +33,22 @@ use std::time::Instant;
 /// trajectory baseline records it so it cannot be lowered silently.
 pub const MIN_SPEEDUP_X: f64 = 2.0;
 
-/// Hard floor for the end-to-end speedup the access-filter fast path
-/// buys on a repeat-heavy workload (filter on vs the same machine with
-/// `with_fastpath(false)`). `paper bench-hot` fails below this.
-pub const MIN_FASTPATH_SPEEDUP_X: f64 = 1.5;
+/// Cores, scale and seed of `paper trajectory`'s pinned micro-sweep,
+/// shared with the pinned paper workload behind `ns_per_access`.
+pub const TRAJECTORY_CORES: usize = 4;
+/// See [`TRAJECTORY_CORES`].
+pub const TRAJECTORY_SCALE: u32 = 1;
+/// See [`TRAJECTORY_CORES`].
+pub const TRAJECTORY_SEED: u64 = 42;
+
+/// The PARSEC stand-in and design whose simulation anchors
+/// `ns_per_access`.
+const SIM_WORKLOAD: WorkloadSpec = WorkloadSpec::Streamcluster;
+const SIM_PROTOCOL: ProtocolKind = ProtocolKind::CePlus;
+
+/// Timed runs of the pinned paper workload. One run takes well under a
+/// millisecond, so a wide median costs little and steadies the number.
+const SIM_SAMPLES: usize = 21;
 
 /// Seed for every synthetic op stream (arbitrary, fixed).
 const STREAM_SEED: u64 = 0x5EED_C0FF_EE11_D00D;
@@ -50,15 +61,13 @@ const WORKING_SET_LINES: u64 = 4096;
 /// numbers that CI tracks but never gates exactly.
 #[derive(Debug, Clone, Copy)]
 pub struct HotPathMeasurement {
-    /// Simulator wall time per simulated memory access (nanoseconds),
-    /// from one pinned end-to-end run.
+    /// Simulator wall time per simulated memory or sync op
+    /// (nanoseconds): `Machine::run` alone on the pinned paper
+    /// workload, program build and machine setup excluded.
     pub ns_per_access: f64,
     /// Raw access-table throughput of the interned flat path relative
     /// to the `HashMap` reference doing identical work.
     pub speedup_vs_hashmap: f64,
-    /// End-to-end speedup of the access-filter fast path on the
-    /// repeat-heavy pinned workload (filter on vs off, same machine).
-    pub fastpath_speedup_x: f64,
 }
 
 /// One deterministic pseudo-random line stream. Re-created per timing
@@ -186,106 +195,22 @@ fn aim_spill_refill(stream: &[u64]) -> u64 {
     acc
 }
 
-/// Lines each core loops over in the repeat-heavy pinned workload.
-/// Small enough to stay resident in every core's L1 (and far under the
-/// access filter's slot count), so after the first pass every access
-/// is a same-region repeat — the fast path's target shape.
-const FILTER_LINES_PER_CORE: usize = 32;
-
-/// The pinned repeat-heavy program for the fast-path pair: each core
-/// sweeps its own [`FILTER_LINES_PER_CORE`]-line slice `iters` times
-/// with a full-line write+read per line, no synchronization — one
-/// long region per core, so the filter is never epoch-invalidated.
-/// Full-line masks make each covered repeat skip the full per-word
-/// detection and oracle work, the shape the filter is built for.
-fn repeat_heavy_program(iters: usize) -> Program {
-    let mut b = Builder::new("repeat-heavy", MIX_CORES);
-    let arena = b.shared((MIX_CORES * FILTER_LINES_PER_CORE * 64) as u64);
-    for t in 0..MIX_CORES {
-        for _ in 0..iters {
-            for l in 0..FILTER_LINES_PER_CORE {
-                let w = arena.word(((t * FILTER_LINES_PER_CORE + l) * 8) as u64);
-                b.write_n(t, w, 64);
-                b.read_n(t, w, 64);
-            }
-        }
-    }
-    b.finish()
+/// The pinned paper workload and a machine to run it on, both built
+/// outside any timed region.
+fn sim_setup() -> (Machine, Program) {
+    let cfg = MachineConfig::paper_default(TRAJECTORY_CORES, SIM_PROTOCOL);
+    let machine = Machine::new(&cfg).expect("paper_default configs are valid");
+    let program = SIM_WORKLOAD.build(TRAJECTORY_CORES, TRAJECTORY_SCALE, TRAJECTORY_SEED);
+    (machine, program)
 }
 
-/// One end-to-end run of the repeat-heavy program with the fast path
-/// forced on or off. Returns end cycles (for `black_box`).
-fn repeat_heavy_run(p: &Program, fastpath: bool) -> u64 {
-    let cfg = MachineConfig::paper_default(MIX_CORES, ProtocolKind::CePlus);
-    Machine::new(&cfg)
-        .unwrap()
-        .with_fastpath(fastpath)
-        .run(p)
-        .unwrap()
-        .cycles
-        .0
-}
-
-/// Drive the access filter directly with the repeat-heavy line stream:
-/// arm on miss, count hits. The returned count is the accumulator; the
-/// stream is all repeats after the first sweep, so the hit rate must
-/// approach 1.
-fn filter_hit_stream(ops: usize) -> u64 {
-    let mut f = AccessFilter::with_enabled(1, true);
-    let core = CoreId(0);
-    let region = RegionId(1);
-    let mask = WordMask::single(WordIdx(0));
-    let mut acc = 0u64;
-    for i in 0..ops {
-        let line = LineAddr((i % FILTER_LINES_PER_CORE) as u64);
-        if f.hit(core, line, region, AccessType::Write, mask) {
-            acc = acc.wrapping_add(1);
-        } else {
-            f.arm(core, line, region, AccessType::Write, mask);
-        }
-    }
-    acc
-}
-
-/// Cores in the scheduler microbench — the paper's largest sweep
-/// point, where the old linear scan hurt most.
-const SCHED_CORES: usize = 64;
-
-/// The reference scheduler: scan all cores for the minimum clock
-/// (strict `<`, so ties resolve to the lowest ID) every step. This is
-/// what `Machine::run_with_policy` did before the index-min queue.
-fn sched_linear(steps: usize) -> u64 {
-    let mut rng = SplitMix64::new(STREAM_SEED);
-    let mut clock = vec![0u64; SCHED_CORES];
-    let mut acc = 0u64;
-    for _ in 0..steps {
-        let mut pick = 0usize;
-        for c in 1..SCHED_CORES {
-            if clock[c] < clock[pick] {
-                pick = c;
-            }
-        }
-        acc = acc.wrapping_add(pick as u64);
-        clock[pick] += 1 + rng.gen_range(8);
-    }
-    acc
-}
-
-/// The index-min queue doing identical work: pop the (clock, core)
-/// minimum, advance it by the same pseudo-random stride, re-push.
-fn sched_heap(steps: usize) -> u64 {
-    let mut rng = SplitMix64::new(STREAM_SEED);
-    let mut ready = ReadyQueue::with_capacity(SCHED_CORES);
-    for c in 0..SCHED_CORES {
-        ready.push(Cycles::ZERO, c);
-    }
-    let mut acc = 0u64;
-    for _ in 0..steps {
-        let (t, c) = ready.pop().expect("queue never drains");
-        acc = acc.wrapping_add(c as u64);
-        ready.push(Cycles(t.0 + 1 + rng.gen_range(8)), c);
-    }
-    acc
+/// One simulation of the pinned workload; returns the simulated ops
+/// (memory + sync) it committed.
+fn sim_run(machine: &Machine, program: &Program) -> u64 {
+    let r = machine
+        .run(program)
+        .expect("generated workloads are valid programs");
+    r.mem_ops + r.sync_ops
 }
 
 /// Median wall time of `samples` runs of `f`, in seconds.
@@ -312,23 +237,14 @@ pub fn measure(smoke: bool) -> HotPathMeasurement {
     let t_hash = median_secs(samples, || raw_access_hashmap(&stream));
     let t_flat = median_secs(samples, || raw_access_flat(&stream));
 
-    // One pinned end-to-end run anchors simulated-access wall cost.
-    let t0 = Instant::now();
-    let r = run_one(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, 1, 42);
-    let wall = t0.elapsed().as_secs_f64();
-    let accesses = (r.mem_ops + r.sync_ops).max(1);
-
-    // The fast-path pair: the identical repeat-heavy run with the
-    // access filter on and off.
-    let iters = if smoke { 60 } else { 300 };
-    let program = repeat_heavy_program(iters);
-    let t_on = median_secs(samples, || repeat_heavy_run(&program, true));
-    let t_off = median_secs(samples, || repeat_heavy_run(&program, false));
+    // The pinned paper workload anchors simulated-op wall cost.
+    let (machine, program) = sim_setup();
+    let ops = sim_run(&machine, &program).max(1);
+    let t_sim = median_secs(SIM_SAMPLES, || sim_run(&machine, &program));
 
     HotPathMeasurement {
-        ns_per_access: wall * 1e9 / accesses as f64,
+        ns_per_access: t_sim * 1e9 / ops as f64,
         speedup_vs_hashmap: t_hash / t_flat.max(f64::MIN_POSITIVE),
-        fastpath_speedup_x: t_off / t_on.max(f64::MIN_POSITIVE),
     }
 }
 
@@ -353,41 +269,17 @@ pub fn run(smoke: bool) -> HotPathMeasurement {
     b.case("aim-spill-refill/flat", elements, || {
         aim_spill_refill(&stream)
     });
-    b.case("access-filter/hit-stream", elements, || {
-        filter_hit_stream(ops)
+    let (machine, program) = sim_setup();
+    let sim_ops = Some((program.total_mem_ops() + program.total_sync_ops()) as u64);
+    b.case(&format!("sim/{}", SIM_WORKLOAD.name()), sim_ops, || {
+        sim_run(&machine, &program)
     });
-    let sched_steps = ops;
-    b.case(
-        "scheduler-64c/linear-scan",
-        Some(sched_steps as u64),
-        || sched_linear(sched_steps),
-    );
-    b.case("scheduler-64c/index-min", Some(sched_steps as u64), || {
-        sched_heap(sched_steps)
-    });
-    b.case("sim/end-to-end", None, || {
-        run_one(WorkloadSpec::PingPong, ProtocolKind::CePlus, 4, 1, 42).cycles
-    });
-
-    // Filter hit rate on the pinned stream, for the printed summary.
-    let mut f = AccessFilter::with_enabled(1, true);
-    let mask = WordMask::single(WordIdx(0));
-    for i in 0..ops {
-        let line = LineAddr((i % FILTER_LINES_PER_CORE) as u64);
-        if !f.hit(CoreId(0), line, RegionId(1), AccessType::Write, mask) {
-            f.arm(CoreId(0), line, RegionId(1), AccessType::Write, mask);
-        }
-    }
 
     let m = measure(smoke);
     println!(
-        "hot-path summary: {:.1} ns per simulated access, flat raw-access path {:.2}x the \
-         HashMap reference (floor {MIN_SPEEDUP_X}x), access-filter fast path {:.2}x end-to-end \
-         (floor {MIN_FASTPATH_SPEEDUP_X}x) at {:.1}% filter hit rate",
-        m.ns_per_access,
-        m.speedup_vs_hashmap,
-        m.fastpath_speedup_x,
-        f.hit_rate() * 100.0
+        "hot-path summary: {:.1} ns per simulated op, flat raw-access path {:.2}x the \
+         HashMap reference (floor {MIN_SPEEDUP_X}x)",
+        m.ns_per_access, m.speedup_vs_hashmap,
     );
     m
 }
@@ -423,29 +315,5 @@ mod tests {
         let m = measure(true);
         assert!(m.ns_per_access > 0.0);
         assert!(m.speedup_vs_hashmap > 0.0);
-        assert!(m.fastpath_speedup_x > 0.0);
-    }
-
-    #[test]
-    fn schedulers_agree_on_the_schedule() {
-        // Identical strides, identical min-(clock, id) semantics: the
-        // linear scan and the index-min queue must pick the same core
-        // at every step.
-        assert_eq!(sched_linear(50_000), sched_heap(50_000));
-    }
-
-    #[test]
-    fn filter_stream_is_all_hits_after_first_sweep() {
-        let ops = 10_000;
-        let hits = filter_hit_stream(ops);
-        assert_eq!(hits, (ops - FILTER_LINES_PER_CORE) as u64);
-    }
-
-    #[test]
-    fn repeat_heavy_pair_is_cycle_identical() {
-        // The fast-path pair only makes sense if both runs simulate
-        // the same machine: identical end cycles, filter on or off.
-        let p = repeat_heavy_program(8);
-        assert_eq!(repeat_heavy_run(&p, true), repeat_heavy_run(&p, false));
     }
 }

@@ -34,7 +34,6 @@
 
 use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictException, ConflictSide};
-use crate::fastpath::AccessFilter;
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
 use crate::protocol::{AccessResult, Engine, Substrate};
@@ -81,14 +80,6 @@ pub struct ArcEngine {
     meta: Box<dyn MetaBackend>,
     /// The conflict detector (shared logic with the MESI family).
     detect: Detector,
-    /// Fast-path filter over repeat accesses (see [`crate::fastpath`]).
-    /// A covered repeat implies `new_words` would be empty (no
-    /// registration) and the dirty bits are already set, so the whole
-    /// hit path is a no-op beyond the latency charge. Invalidated on
-    /// eviction and on recall — recall clears the owner's dirty mask,
-    /// which un-invalidated write coverage would otherwise never
-    /// repopulate.
-    filter: AccessFilter,
     /// Engine-local intern table: the flat per-line state below is
     /// indexed by the dense id, so classification and registration
     /// bookkeeping do no hashing after a line's first touch.
@@ -119,7 +110,6 @@ impl ArcEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            filter: AccessFilter::new(cfg.cores),
             lines: LineTable::new(),
             class: LineMap::new(),
             written_ever: LineFlags::new(),
@@ -177,9 +167,6 @@ impl ArcEngine {
         t_at_bank: Cycles,
     ) -> Cycles {
         self.recalls.inc();
-        // The recall clears the owner's dirty words and reclassifies
-        // the copy: any armed coverage for the line is stale.
-        self.filter.invalidate(owner, line);
         let lid = self.lines.intern(line);
         let bank = sub.bank_node(line);
         let owner_node = sub.core_node(owner);
@@ -260,7 +247,6 @@ impl ArcEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            self.filter.invalidate(core, victim);
             sub.trace(EventClass::Cache, || SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -369,18 +355,6 @@ impl Engine for ArcEngine {
 
         // L1 lookup.
         let hit = self.l1[core.index()].access(line).is_some();
-        // Fast path: a covered repeat means the per-region masks,
-        // dirty words, and written-ever flag are all already set and
-        // `new_words` would be empty, so the slow hit path would do
-        // nothing but charge the L1 latency.
-        if hit && self.filter.hit(core, line, sub.region_of(core), kind, mask) {
-            return Ok(AccessResult {
-                done: Cycles(now.0 + l1_lat),
-                exceptions: Vec::new(),
-                paths: Vec::new(),
-                fast: true,
-            });
-        }
         if hit {
             let (is_shared, new_words) = {
                 let st = self.l1[core.index()].probe_mut(line).ok_or_else(|| {
@@ -417,14 +391,10 @@ impl Engine for ArcEngine {
                 let t2 = self.meta.ensure_at(sub, line, t1);
                 (exceptions, paths) = self.aim_check_record(sub, core, line, new_words, kind, t2);
             }
-            if exceptions.is_empty() {
-                self.filter.arm(core, line, sub.region_of(core), kind, mask);
-            }
             return Ok(AccessResult {
                 done,
                 exceptions,
                 paths,
-                fast: false,
             });
         }
 
@@ -500,14 +470,10 @@ impl Engine for ArcEngine {
         }
         self.fill_line(sub, core, line, st, t_data);
 
-        if exceptions.is_empty() {
-            self.filter.arm(core, line, sub.region_of(core), kind, mask);
-        }
         Ok(AccessResult {
             done: Cycles(t_data.0 + l1_lat),
             exceptions,
             paths,
-            fast: false,
         })
     }
 
@@ -597,16 +563,11 @@ impl Engine for ArcEngine {
             done,
             exceptions: Vec::new(),
             paths: Vec::new(),
-            fast: false,
         })
     }
 
     fn name(&self) -> &'static str {
         "ARC"
-    }
-
-    fn set_fastpath(&mut self, on: bool) {
-        self.filter.set_enabled(on);
     }
 
     fn l1_totals(&self) -> (u64, u64, u64) {

@@ -33,7 +33,6 @@
 use crate::access::MetaMap;
 use crate::detect::Detector;
 use crate::exception::{AccessType, ConflictSide};
-use crate::fastpath::AccessFilter;
 use crate::forensics::{DetectPath, DetectSite};
 use crate::meta::{backend_for, MetaBackend};
 use crate::protocol::{AccessResult, Engine, Substrate};
@@ -67,10 +66,6 @@ pub struct MesiFamilyEngine {
     meta: Box<dyn MetaBackend>,
     /// The conflict detector (shared logic with ARC).
     detect: Detector,
-    /// Fast-path filter over repeat accesses (see [`crate::fastpath`]).
-    /// Armed only by conflict-free slow-path accesses; invalidated on
-    /// eviction and on every remote transition touching a core's copy.
-    filter: AccessFilter,
     /// Access bits attached to LLC lines (CE extends the shared cache
     /// with access bits too): whenever metadata passes through the
     /// LLC/directory — owner downgrades, invalidation acks, displaced
@@ -120,7 +115,6 @@ impl MesiFamilyEngine {
             l1: (0..cfg.cores).map(|_| L1Cache::new(&cfg.l1)).collect(),
             meta: backend_for(cfg),
             detect: Detector::new(),
-            filter: AccessFilter::new(cfg.cores),
             lines: LineTable::new(),
             llc_meta: LineMap::new(),
             displaced: LineFlags::new(),
@@ -243,7 +237,6 @@ impl MesiFamilyEngine {
     ) {
         let me = sub.core_node(core);
         if let Some((victim, vstate)) = self.l1[core.index()].fill(line, state) {
-            self.filter.invalidate(core, victim);
             sub.trace(EventClass::Cache, || SimEvent {
                 cycle: at.0,
                 core: Some(core.0),
@@ -315,7 +308,6 @@ impl MesiFamilyEngine {
                 t1,
             );
             for s in sharers {
-                self.filter.invalidate(s, line);
                 let st = self.l1[s.index()]
                     .invalidate(line)
                     .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -389,9 +381,6 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            // The owner loses write permission (M/E -> S or O): its
-            // armed coverage for the line can no longer short-circuit.
-            self.filter.invalidate(owner, line);
             let (needs_writeback, owner_stays, meta_copy) = {
                 let st = self.l1[owner.index()]
                     .probe_mut(line)
@@ -497,7 +486,6 @@ impl MesiFamilyEngine {
                 MsgClass::Request,
                 t1,
             );
-            self.filter.invalidate(owner, line);
             let st = self.l1[owner.index()]
                 .invalidate(line)
                 .ok_or_else(|| not_resident("directory owner", owner, line))?;
@@ -530,7 +518,6 @@ impl MesiFamilyEngine {
                     t1,
                 );
                 for s in co_sharers {
-                    self.filter.invalidate(s, line);
                     let st = self.l1[s.index()]
                         .invalidate(line)
                         .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -563,7 +550,6 @@ impl MesiFamilyEngine {
                     t1,
                 );
                 for s in sharers {
-                    self.filter.invalidate(s, line);
                     let st = self.l1[s.index()]
                         .invalidate(line)
                         .ok_or_else(|| not_resident("directory sharer", s, line))?;
@@ -682,22 +668,6 @@ impl Engine for MesiFamilyEngine {
         let l1_lat = sub.cfg.l1.latency;
 
         let state = self.l1[core.index()].access(line).map(|l| l.mesi);
-        // Fast path: an L1 hit whose raw mask is covered by a
-        // conflict-free same-kind access in the same region repeats a
-        // fully determined outcome — state transition a no-op, bits
-        // already recorded, no conflict possible (a conflicting access
-        // never arms; remote transitions invalidate). Only the L1-hit
-        // latency charge remains. Write coverage implies the line is
-        // still M (every downgrade hooks the filter), so `can_write`
-        // held and the dirty/M bits are already set.
-        if state.is_some() && self.filter.hit(core, line, region, kind, mask) {
-            return Ok(AccessResult {
-                done: Cycles(now.0 + l1_lat),
-                exceptions: Vec::new(),
-                paths: Vec::new(),
-                fast: true,
-            });
-        }
         // Snapshot the displaced-fetch counter: if it moves during this
         // access, any conflict found involved bits fetched back from
         // the metadata backend rather than bits riding the L1 line.
@@ -749,14 +719,10 @@ impl Engine for MesiFamilyEngine {
                 paths = vec![path; exceptions.len()];
             }
         }
-        if exceptions.is_empty() {
-            self.filter.arm(core, line, region, kind, mask);
-        }
         Ok(AccessResult {
             done,
             exceptions,
             paths,
-            fast: false,
         })
     }
 
@@ -771,7 +737,6 @@ impl Engine for MesiFamilyEngine {
                 done: now,
                 exceptions: Vec::new(),
                 paths: Vec::new(),
-                fast: false,
             });
         }
         // Local flash-clear of this core's bits (and opportunistic
@@ -798,16 +763,11 @@ impl Engine for MesiFamilyEngine {
             done,
             exceptions: Vec::new(),
             paths: Vec::new(),
-            fast: false,
         })
     }
 
     fn name(&self) -> &'static str {
         self.mode.name()
-    }
-
-    fn set_fastpath(&mut self, on: bool) {
-        self.filter.set_enabled(on);
     }
 
     fn l1_totals(&self) -> (u64, u64, u64) {

@@ -37,7 +37,6 @@ pub mod access;
 pub mod detect;
 pub mod engines;
 pub mod exception;
-pub mod fastpath;
 pub mod forensics;
 pub mod machine;
 pub mod meta;
@@ -51,7 +50,6 @@ pub use access::{ConflictCheck, MetaMap};
 pub use detect::Detector;
 pub use engines::{find_variant, ArcEngine, EngineVariant, MesiFamilyEngine, REGISTRY};
 pub use exception::{AccessType, ConflictException, ExceptionPolicy};
-pub use fastpath::AccessFilter;
 pub use forensics::{
     ConflictRecord, DetectPath, DetectSite, Forensics, ForensicsReport, LineHeat, PairHeat,
     RegionHeat,

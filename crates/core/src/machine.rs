@@ -92,10 +92,6 @@ pub struct Machine {
     energy_model: EnergyModel,
     step_limit: Option<u64>,
     obs: ObsConfig,
-    /// Explicit fast-path override for the engine's access filter
-    /// (`None` = engine default: on unless `RCE_DISABLE_FASTPATH` is
-    /// set). Reports are byte-identical either way.
-    fastpath: Option<bool>,
 }
 
 /// Read every cumulative gauge the interval sampler differences.
@@ -133,17 +129,7 @@ impl Machine {
             energy_model: EnergyModel::default(),
             step_limit: None,
             obs: ObsConfig::default(),
-            fastpath: None,
         })
-    }
-
-    /// Force the engine's fast-path access filter on or off for
-    /// subsequent runs, overriding the `RCE_DISABLE_FASTPATH`
-    /// environment default. The equivalence property tests run every
-    /// workload both ways and require byte-identical reports.
-    pub fn with_fastpath(mut self, on: bool) -> Self {
-        self.fastpath = Some(on);
-        self
     }
 
     /// Enable observability (event tracing and/or interval metrics)
@@ -189,9 +175,6 @@ impl Machine {
         }
 
         let mut engine = crate::engine_for(&self.cfg);
-        if let Some(on) = self.fastpath {
-            engine.set_fastpath(on);
-        }
         let mut sub = Substrate::new(&self.cfg);
         let mut oracle = Oracle::new(&sub.regions);
         let mut locks = LockManager::new(program.n_locks);
@@ -222,20 +205,9 @@ impl Machine {
         let mut exceptions: Vec<ConflictException> = Vec::new();
         let mut seen = HashSet::new();
         let mut aborted = false;
-        // Observability: explicit config wins; otherwise the legacy
-        // RCE_TRACE_WORD=<word-index> env var acts as a filter alias
-        // (echoing accesses to that word, as the old eprintln did).
-        let mut obs = self.obs.clone();
-        if obs.trace.is_none() {
-            if let Some(w) = std::env::var("RCE_TRACE_WORD")
-                .ok()
-                .and_then(|w| w.parse().ok())
-            {
-                obs.trace = Some(TraceConfig::word_alias(w));
-            }
-        }
+        let obs = &self.obs;
         let trace_requested = obs.trace.is_some();
-        let mut tracer = obs.trace.map(|tc| shared_tracer(Tracer::new(tc)));
+        let mut tracer = obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
         if tracer.is_none() && obs.forensics.is_some() {
             // Forensics wants recent-event windows even when the user
             // did not ask for a trace: run an internal ring that is
@@ -365,6 +337,26 @@ impl Machine {
 
             let op = program.threads[c][cursor[c]];
             cursor[c] += 1;
+            // A synchronization op first ends the core's region.
+            let done = if op.is_sync() {
+                sync_ops += 1;
+                per_core[c].sync_ops += 1;
+                boundary(
+                    &mut engine,
+                    &mut sub,
+                    &mut oracle,
+                    core,
+                    now,
+                    &mut regions,
+                    &mut region_ops,
+                    &mut region_len,
+                    &mut boundary_cost,
+                    &mut region_start,
+                    &mut forensics,
+                )?
+            } else {
+                now
+            };
             match op {
                 Op::Work { cycles } => {
                     let scaled = (cycles as f64 * self.cfg.ipc_scale).round() as u64;
@@ -392,15 +384,9 @@ impl Machine {
                     });
                     // Oracle sees the same committed access, word by
                     // word, at the configured detection granularity.
-                    // A fast-path access repeats words this core+kind
-                    // already observed this region, so every observe
-                    // would take the oracle's own early-return; skip
-                    // the loop entirely.
                     let line = addr.line();
-                    if !res.fast {
-                        for w in dmask.iter() {
-                            let _ = oracle.observe(core, line.word_addr(w), kind, now);
-                        }
+                    for w in dmask.iter() {
+                        let _ = oracle.observe(core, line.word_addr(w), kind, now);
                     }
                     for (i, ex) in res.exceptions.into_iter().enumerate() {
                         if let Some(f) = &mut forensics {
@@ -436,7 +422,7 @@ impl Machine {
                                         .as_ref()
                                         .map(|t| f.window(&t.borrow(), line.0))
                                         .unwrap_or_default();
-                                    f.deliver(ex.clone(), path, recent);
+                                    f.deliver(ex, path, recent);
                                 }
                             }
                             exceptions.push(ex);
@@ -452,46 +438,14 @@ impl Machine {
                     region_ops[c] += 1;
                     per_core[c].mem_ops += 1;
                 }
-                Op::Acquire { lock } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
-                    match locks.acquire(lock, core, done) {
-                        AcquireOutcome::Granted(t) => clock[c] = t,
-                        AcquireOutcome::Blocked => {
-                            clock[c] = done;
-                            status[c] = Status::BlockedLock(lock);
-                        }
+                Op::Acquire { lock } => match locks.acquire(lock, core, done) {
+                    AcquireOutcome::Granted(t) => clock[c] = t,
+                    AcquireOutcome::Blocked => {
+                        clock[c] = done;
+                        status[c] = Status::BlockedLock(lock);
                     }
-                }
+                },
                 Op::Release { lock } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
                     if let Some((next, t)) = locks.release(lock, core, done) {
                         let ni = next.index();
                         debug_assert_eq!(status[ni], Status::BlockedLock(lock));
@@ -502,21 +456,6 @@ impl Machine {
                     clock[c] = done;
                 }
                 Op::Barrier { bar } => {
-                    sync_ops += 1;
-                    per_core[c].sync_ops += 1;
-                    let done = boundary(
-                        &mut engine,
-                        &mut sub,
-                        &mut oracle,
-                        core,
-                        now,
-                        &mut regions,
-                        &mut region_ops,
-                        &mut region_len,
-                        &mut boundary_cost,
-                        &mut region_start,
-                        &mut forensics,
-                    )?;
                     clock[c] = done;
                     match barriers.arrive(bar, core, done) {
                         BarrierOutcome::Blocked => status[c] = Status::BlockedBarrier(bar),

@@ -33,11 +33,6 @@ pub struct AccessResult {
     /// unconditionally — exceptions are rare, so the cost is nil and
     /// the forensics layer needs no extra engine gating.
     pub paths: Vec<DetectPath>,
-    /// True iff the engine's access filter short-circuited this access
-    /// (see [`crate::fastpath`]): the outcome was fully determined by
-    /// a covered repeat, so the machine may also skip the per-word
-    /// oracle observation, which would be a no-op.
-    pub fast: bool,
 }
 
 /// Everything shared between designs.
@@ -269,12 +264,6 @@ pub trait Engine {
 
     /// Engine display name.
     fn name(&self) -> &'static str;
-
-    /// Turn the fast-path access filter on or off (see
-    /// [`crate::fastpath::AccessFilter`]). Reports are byte-identical
-    /// either way; CI runs the golden gate with the filter disabled to
-    /// keep the slow path honest.
-    fn set_fastpath(&mut self, on: bool);
 
     /// Aggregate L1 statistics: `(hits, misses, evictions)` summed
     /// over cores.

@@ -120,3 +120,33 @@ fn lock_contention_serializes_critical_sections() {
     assert!(r.cycles.0 > lower_bound);
     assert!(r.exceptions.is_empty());
 }
+
+#[test]
+fn lock_held_across_barrier_deadlock_names_both_waits() {
+    // Each thread runs `Acquire lk0; Barrier br0; Release lk0`. Core 0
+    // takes the lock and waits at the barrier; core 1 blocks on the
+    // lock, so the barrier never fills. The report must describe both
+    // kinds of wait.
+    let mut b = Builder::new("lock-across-barrier", 2);
+    let lk = b.lock();
+    let bar = b.barrier();
+    for t in 0..2 {
+        b.acquire(t, lk);
+        b.barrier_one(t, bar);
+        b.release(t, lk);
+    }
+    let p = b.finish();
+    let cfg = MachineConfig::paper_default(2, ProtocolKind::Ce);
+    let err = Machine::new(&cfg).unwrap().run(&p).unwrap_err();
+    assert!(
+        matches!(err, RceError::DriverProtocol(_)),
+        "expected deadlock report, got {err:?}"
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("deadlock"), "{msg}");
+    assert!(
+        msg.contains("c0 waits at br0 (1 of 2 cores arrived)"),
+        "{msg}"
+    );
+    assert!(msg.contains("c1 waits on lk0 held by c0"), "{msg}");
+}
