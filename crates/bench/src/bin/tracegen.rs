@@ -11,10 +11,12 @@
 //! JSON; `run` loads such a file and simulates it, printing the
 //! report's headline metrics. This is the interchange path for
 //! replaying externally-produced traces through the engines: any tool
-//! that emits the same JSON shape can drive the simulator.
+//! that emits the same JSON shape can drive the simulator. A trace that
+//! cannot be read, parsed, validated or simulated is reported as
+//! `<file>: <reason>` with exit status 2.
 
 use rce_common::{json, MachineConfig, ProtocolKind};
-use rce_core::Machine;
+use rce_core::{Machine, SimReport};
 use rce_trace::{characterize, inject_races, Program, WorkloadSpec};
 
 fn usage() -> ! {
@@ -79,6 +81,17 @@ fn build(name: &str, o: &Opts) -> Program {
     p
 }
 
+/// Read, parse, validate and simulate a trace file.
+fn run_trace(path: &str, protocol: ProtocolKind) -> Result<SimReport, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
+    let p: Program = json::from_str(&text).map_err(|e| format!("not a valid trace: {e}"))?;
+    rce_trace::validate(&p).map_err(|e| e.to_string())?;
+    let cfg = MachineConfig::paper_default(p.n_threads(), protocol);
+    Machine::new(&cfg)
+        .and_then(|m| m.run(&p))
+        .map_err(|e| e.to_string())
+}
+
 fn print_info(p: &Program) {
     let c = characterize(p);
     println!("workload:        {}", c.name);
@@ -133,11 +146,10 @@ fn main() {
                 usage();
             }
             let o = parse_opts(&args[2..]);
-            let text = std::fs::read_to_string(&args[1]).expect("read trace file");
-            let p: Program = json::from_str(&text).expect("parse trace file");
-            rce_trace::validate(&p).expect("trace must be structurally valid");
-            let cfg = MachineConfig::paper_default(p.n_threads(), o.protocol);
-            let r = Machine::new(&cfg).expect("config").run(&p).expect("run");
+            let r = run_trace(&args[1], o.protocol).unwrap_or_else(|e| {
+                eprintln!("{}: {e}", args[1]);
+                std::process::exit(2);
+            });
             println!("protocol:   {}", r.protocol.name());
             println!("cycles:     {}", r.cycles.0);
             println!("mem ops:    {}", r.mem_ops);

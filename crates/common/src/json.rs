@@ -18,6 +18,11 @@
 //!   variants externally tagged (`{"Acquire": {"lock": 0}}`).
 //! * [`to_string`], [`to_string_pretty`], and [`from_str`] are drop-in
 //!   call-site replacements; pretty output uses 2-space indentation.
+//! * [`JsonWriter`] is the one text emitter. [`ToJson::write_json`]
+//!   streams into it without building a tree (the derive-replacement
+//!   macros and the std impls do); other types fall back to writing
+//!   their [`ToJson::to_json`] tree, and so does printing a
+//!   [`JsonValue`]. Both routes give the same bytes.
 //!
 //! Object key order is insertion order, so emitted `results/*.json`
 //! files are stable across runs.
@@ -153,127 +158,263 @@ impl JsonValue {
     /// Serialize with 2-space indentation (matches
     /// `serde_json::to_string_pretty`).
     pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out
+        to_string_pretty(self)
     }
-
-    fn write_compact(&self, out: &mut String) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Int(i) => {
-                out.push_str(&i.to_string());
-            }
-            JsonValue::UInt(u) => {
-                out.push_str(&u.to_string());
-            }
-            JsonValue::Float(f) => write_f64(out, *f),
-            JsonValue::Str(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    v.write_compact(out);
-                }
-                out.push(']');
-            }
-            JsonValue::Object(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.write_compact(out);
-                }
-                out.push('}');
-            }
-        }
-    }
-
-    fn write_pretty(&self, out: &mut String, indent: usize) {
-        match self {
-            JsonValue::Array(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push(']');
-            }
-            JsonValue::Object(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(",\n");
-                    }
-                    push_indent(out, indent + 1);
-                    write_escaped(out, k);
-                    out.push_str(": ");
-                    v.write_pretty(out, indent + 1);
-                }
-                out.push('\n');
-                push_indent(out, indent);
-                out.push('}');
-            }
-            _ => self.write_compact(out),
-        }
-    }
-}
-
-fn push_indent(out: &mut String, n: usize) {
-    for _ in 0..n {
-        out.push_str("  ");
-    }
-}
-
-fn write_f64(out: &mut String, f: f64) {
-    if !f.is_finite() {
-        // serde_json serializes NaN/Inf as null; keep that contract.
-        out.push_str("null");
-    } else if f == f.trunc() && f.abs() < 1e15 {
-        // Integral floats print with a trailing ".0" so the flavor
-        // survives a round-trip (serde_json prints 1.0, not 1).
-        out.push_str(&format!("{f:.1}"));
-    } else {
-        out.push_str(&format!("{f}"));
-    }
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        f.write_str(&out)
+        f.write_str(&to_string(self))
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Writer
+// ---------------------------------------------------------------------------
+
+/// The JSON text emitter: every document this crate prints, compact or
+/// pretty, tree or streamed, goes through one `JsonWriter`.
+///
+/// [`ToJson::write_json`] drives it directly, so a type with a
+/// streaming impl serializes without building a [`JsonValue`] first.
+/// Containers are bracketed by `begin_*`/`end_*`; each array element
+/// is preceded by [`elem`](Self::elem) and each object entry by a key
+/// call, which place the separators, newlines and indentation. Pretty
+/// mode uses 2-space indentation, `"k": v`, and `[]`/`{}` for empty
+/// containers (the `serde_json::to_string_pretty` format).
+pub struct JsonWriter {
+    out: String,
+    pretty: bool,
+    depth: usize,
+    /// No element has been written yet in the innermost open container.
+    first: bool,
+}
+
+impl JsonWriter {
+    /// A writer for single-line output.
+    pub fn compact() -> JsonWriter {
+        JsonWriter {
+            out: String::new(),
+            pretty: false,
+            depth: 0,
+            first: true,
+        }
+    }
+
+    /// A writer for 2-space indented output.
+    pub fn pretty() -> JsonWriter {
+        JsonWriter {
+            pretty: true,
+            ..JsonWriter::compact()
+        }
+    }
+
+    /// The finished text.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.out.push_str("null");
+    }
+
+    /// `true` / `false`.
+    pub fn bool(&mut self, b: bool) {
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    /// An unsigned integer, formatted from a stack digit buffer.
+    pub fn u64(&mut self, mut u: u64) {
+        let mut buf = [0u8; 20];
+        let mut i = buf.len();
+        loop {
+            i -= 1;
+            buf[i] = b'0' + (u % 10) as u8;
+            u /= 10;
+            if u == 0 {
+                break;
+            }
+        }
+        // Every byte in `buf[i..]` is an ASCII digit.
+        self.out
+            .push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+    }
+
+    /// A signed integer.
+    pub fn i64(&mut self, i: i64) {
+        if i < 0 {
+            self.out.push('-');
+        }
+        self.u64(i.unsigned_abs());
+    }
+
+    /// A float. Non-finite values are written as `null` (the
+    /// `serde_json` contract); integral values below 1e15 keep a `.0`
+    /// suffix so their flavor survives a round-trip (serde_json prints
+    /// `1.0`, not `1`).
+    pub fn f64(&mut self, f: f64) {
+        use fmt::Write as _;
+        let res = if !f.is_finite() {
+            self.out.push_str("null");
+            Ok(())
+        } else if f == f.trunc() && f.abs() < 1e15 {
+            write!(self.out, "{f:.1}")
+        } else {
+            write!(self.out, "{f}")
+        };
+        res.expect("writing to a String cannot fail");
+    }
+
+    /// A string, escaped.
+    pub fn str(&mut self, s: &str) {
+        let out = &mut self.out;
+        out.push('"');
+        // Every byte that needs escaping is ASCII, so splitting the
+        // UTF-8 bytes at them always lands on char boundaries.
+        let mut run = 0;
+        for (i, b) in s.bytes().enumerate() {
+            let esc = match b {
+                b'"' => "\\\"",
+                b'\\' => "\\\\",
+                b'\n' => "\\n",
+                b'\r' => "\\r",
+                b'\t' => "\\t",
+                0x08 => "\\b",
+                0x0c => "\\f",
+                // The other controls: `\u00XX`, written below.
+                0..=0x1f => "",
+                _ => continue,
+            };
+            out.push_str(&s[run..i]);
+            run = i + 1;
+            if esc.is_empty() {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            } else {
+                out.push_str(esc);
+            }
+        }
+        out.push_str(&s[run..]);
+        out.push('"');
+    }
+
+    /// A string that is already a JSON string literal, quotes included
+    /// (`impl_json_unit_enum!` builds these with `concat!`). Written
+    /// as is, without escaping.
+    pub fn quoted_str(&mut self, quoted: &'static str) {
+        self.out.push_str(quoted);
+    }
+
+    /// Open an array.
+    pub fn begin_array(&mut self) {
+        self.out.push('[');
+        self.open();
+    }
+
+    /// Start the next array element: the comma after the previous one,
+    /// then in pretty mode a newline and the indent. Object keys start
+    /// with the same.
+    pub fn elem(&mut self) {
+        if !self.first {
+            self.out.push(',');
+        }
+        self.first = false;
+        if self.pretty {
+            self.newline();
+        }
+    }
+
+    /// Close the innermost array.
+    pub fn end_array(&mut self) {
+        self.close(']');
+    }
+
+    /// Open an object.
+    pub fn begin_object(&mut self) {
+        self.out.push('{');
+        self.open();
+    }
+
+    /// Start the next object entry with key `k` (escaped).
+    pub fn key(&mut self, k: &str) {
+        self.elem();
+        self.str(k);
+        self.colon();
+    }
+
+    /// Start the next object entry with a key that is already a JSON
+    /// string literal, quotes included (`impl_json_struct!` builds
+    /// these with `concat!`). Written as is, without escaping.
+    pub fn quoted_key(&mut self, quoted: &'static str) {
+        self.elem();
+        self.out.push_str(quoted);
+        self.colon();
+    }
+
+    /// Close the innermost object.
+    pub fn end_object(&mut self) {
+        self.close('}');
+    }
+
+    /// Write every item of `items` as one array.
+    pub fn seq<'a, T: ToJson + 'a>(&mut self, items: impl IntoIterator<Item = &'a T>) {
+        self.begin_array();
+        for item in items {
+            self.elem();
+            item.write_json(self);
+        }
+        self.end_array();
+    }
+
+    /// Write a [`JsonValue`] tree.
+    pub fn value(&mut self, v: &JsonValue) {
+        match v {
+            JsonValue::Null => self.null(),
+            JsonValue::Bool(b) => self.bool(*b),
+            JsonValue::Int(i) => self.i64(*i),
+            JsonValue::UInt(u) => self.u64(*u),
+            JsonValue::Float(f) => self.f64(*f),
+            JsonValue::Str(s) => self.str(s),
+            JsonValue::Array(items) => self.seq(items),
+            JsonValue::Object(pairs) => {
+                self.begin_object();
+                for (k, v) in pairs {
+                    self.key(k);
+                    self.value(v);
+                }
+                self.end_object();
+            }
+        }
+    }
+
+    fn open(&mut self) {
+        self.depth += 1;
+        self.first = true;
+    }
+
+    fn colon(&mut self) {
+        self.out.push_str(if self.pretty { ": " } else { ":" });
+    }
+
+    fn close(&mut self, bracket: char) {
+        self.depth -= 1;
+        // A container that got no element closes on the same line: `[]`.
+        if self.pretty && !self.first {
+            self.newline();
+        }
+        self.out.push(bracket);
+        // The enclosing container now holds at least this element.
+        self.first = false;
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.depth {
+            self.out.push_str("  ");
+        }
     }
 }
 
@@ -578,30 +719,54 @@ impl Parser<'_> {
             .bytes
             .get(self.pos..end)
             .ok_or_else(|| "truncated \\u escape".to_string())?;
-        let s = std::str::from_utf8(chunk).map_err(|_| "bad \\u escape".to_string())?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| format!("bad \\u escape `{s}`"))?;
+        // Exactly four hex digits: `from_str_radix` alone would also
+        // take a sign (`\u+041`).
+        let mut v = 0;
+        for &b in chunk {
+            let d = (b as char)
+                .to_digit(16)
+                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
+            v = v * 16 + d;
+        }
         self.pos = end;
         Ok(v)
     }
 
+    /// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?` — the
+    /// JSON number grammar, which rejects `01`, `1.`, `.5` and `1.e5`.
     fn number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
+        let bad = |pos: usize| format!("bad number at byte {pos}");
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' => self.pos += 1,
-                b'.' | b'e' | b'E' | b'+' | b'-' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
-            }
+        match self.peek() {
+            Some(b'0') => self.pos += 1,
+            Some(b'1'..=b'9') => self.digits(),
+            _ => return Err(bad(start)),
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "bad number".to_string())?;
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            is_float = true;
+            self.pos += 1;
+            if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(bad(start));
+            }
+            self.digits();
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            is_float = true;
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if !self.peek().is_some_and(|b| b.is_ascii_digit()) {
+                return Err(bad(start));
+            }
+            self.digits();
+        }
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("a JSON number is ASCII");
         if !is_float {
             if text.starts_with('-') {
                 if let Ok(i) = text.parse::<i64>() {
@@ -613,7 +778,13 @@ impl Parser<'_> {
         }
         text.parse::<f64>()
             .map(JsonValue::Float)
-            .map_err(|_| format!("bad number `{text}` at byte {start}"))
+            .map_err(|_| bad(start))
+    }
+
+    fn digits(&mut self) {
+        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
+            self.pos += 1;
+        }
     }
 }
 
@@ -621,10 +792,19 @@ impl Parser<'_> {
 // ToJson / FromJson
 // ---------------------------------------------------------------------------
 
-/// Types that can serialize themselves into a [`JsonValue`].
+/// Types that can serialize themselves into a [`JsonValue`] and, from
+/// there, into JSON text.
 pub trait ToJson {
     /// Build the JSON representation of `self`.
     fn to_json(&self) -> JsonValue;
+
+    /// Write the JSON text of `self` into `w`. The default builds
+    /// [`to_json`](Self::to_json) and writes that tree; types on the
+    /// report path override it to stream without the tree. Either way
+    /// the text is the same.
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value(&self.to_json());
+    }
 }
 
 /// Types that can reconstruct themselves from a [`JsonValue`].
@@ -637,13 +817,17 @@ pub trait FromJson: Sized {
 /// Serialize any [`ToJson`] value to a compact string
 /// (`serde_json::to_string` replacement).
 pub fn to_string<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().to_string()
+    let mut w = JsonWriter::compact();
+    value.write_json(&mut w);
+    w.finish()
 }
 
 /// Serialize any [`ToJson`] value with 2-space indentation
 /// (`serde_json::to_string_pretty` replacement).
 pub fn to_string_pretty<T: ToJson + ?Sized>(value: &T) -> String {
-    value.to_json().pretty()
+    let mut w = JsonWriter::pretty();
+    value.write_json(&mut w);
+    w.finish()
 }
 
 /// Parse a string into any [`FromJson`] type
@@ -662,6 +846,9 @@ impl ToJson for JsonValue {
     fn to_json(&self) -> JsonValue {
         self.clone()
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.value(self);
+    }
 }
 
 impl FromJson for JsonValue {
@@ -674,11 +861,17 @@ impl<T: ToJson + ?Sized> ToJson for &T {
     fn to_json(&self) -> JsonValue {
         (**self).to_json()
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        (**self).write_json(w);
+    }
 }
 
 impl ToJson for bool {
     fn to_json(&self) -> JsonValue {
         JsonValue::Bool(*self)
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.bool(*self);
     }
 }
 
@@ -692,11 +885,17 @@ impl ToJson for str {
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.to_string())
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
+    }
 }
 
 impl ToJson for String {
     fn to_json(&self) -> JsonValue {
         JsonValue::Str(self.clone())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.str(self);
     }
 }
 
@@ -712,6 +911,9 @@ impl ToJson for f64 {
     fn to_json(&self) -> JsonValue {
         JsonValue::Float(*self)
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(*self);
+    }
 }
 
 impl FromJson for f64 {
@@ -725,6 +927,9 @@ impl ToJson for f32 {
     fn to_json(&self) -> JsonValue {
         JsonValue::Float(f64::from(*self))
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.f64(f64::from(*self));
+    }
 }
 
 macro_rules! impl_json_uint {
@@ -732,6 +937,9 @@ macro_rules! impl_json_uint {
         impl ToJson for $ty {
             fn to_json(&self) -> JsonValue {
                 JsonValue::UInt(*self as u64)
+            }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.u64(*self as u64);
             }
         }
         impl FromJson for $ty {
@@ -760,6 +968,9 @@ macro_rules! impl_json_int {
                     JsonValue::Int(i)
                 }
             }
+            fn write_json(&self, w: &mut JsonWriter) {
+                w.i64(*self as i64);
+            }
         }
         impl FromJson for $ty {
             fn from_json(v: &JsonValue) -> Result<Self, String> {
@@ -780,11 +991,17 @@ impl<T: ToJson> ToJson for Vec<T> {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(ToJson::to_json).collect())
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.seq(self);
+    }
 }
 
 impl<T: ToJson> ToJson for [T] {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.seq(self);
     }
 }
 
@@ -801,6 +1018,9 @@ impl<T: FromJson> FromJson for Vec<T> {
 impl<T: ToJson, const N: usize> ToJson for [T; N] {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(self.iter().map(ToJson::to_json).collect())
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.seq(self);
     }
 }
 
@@ -820,6 +1040,12 @@ impl<T: ToJson> ToJson for Option<T> {
             None => JsonValue::Null,
         }
     }
+    fn write_json(&self, w: &mut JsonWriter) {
+        match self {
+            Some(t) => t.write_json(w),
+            None => w.null(),
+        }
+    }
 }
 
 impl<T: FromJson> FromJson for Option<T> {
@@ -835,6 +1061,14 @@ impl<T: FromJson> FromJson for Option<T> {
 impl<A: ToJson, B: ToJson> ToJson for (A, B) {
     fn to_json(&self) -> JsonValue {
         JsonValue::Array(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn write_json(&self, w: &mut JsonWriter) {
+        w.begin_array();
+        w.elem();
+        self.0.write_json(w);
+        w.elem();
+        self.1.write_json(w);
+        w.end_array();
     }
 }
 
@@ -857,17 +1091,62 @@ impl<A: FromJson, B: FromJson> FromJson for (A, B) {
 /// Implement [`ToJson`]/[`FromJson`] for a struct as an object with one
 /// entry per named field — the replacement for
 /// `#[derive(Serialize, Deserialize)]` on plain structs.
+///
+/// Fields listed after `; omitted_if_none:` must be `Option`s. They
+/// are left out of the object when `None` (rather than written as
+/// `null`) and read as `None` when absent or `null`, so adding such a
+/// field leaves the output of values without it unchanged:
+///
+/// ```
+/// use rce_common::{impl_json_struct, json};
+///
+/// struct Run {
+///     cycles: u64,
+///     aim: Option<u64>,
+///     trace: Option<u64>,
+/// }
+/// impl_json_struct!(Run { cycles, aim; omitted_if_none: trace });
+///
+/// let run = Run { cycles: 3, aim: None, trace: None };
+/// assert_eq!(json::to_string(&run), r#"{"cycles":3,"aim":null}"#);
+/// let back: Run = json::from_str(r#"{"cycles":3,"aim":null}"#).unwrap();
+/// assert!(back.trace.is_none());
+/// ```
 #[macro_export]
 macro_rules! impl_json_struct {
-    ($ty:ident { $($field:ident),+ $(,)? }) => {
+    ($ty:ident { $($field:ident),+ $(,)? $(; omitted_if_none: $($opt:ident),+ $(,)?)? }) => {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
-                $crate::json::JsonValue::Object(vec![
+                #[allow(unused_mut)]
+                let mut pairs = vec![
                     $((
                         stringify!($field).to_string(),
                         $crate::json::ToJson::to_json(&self.$field),
                     ),)+
-                ])
+                ];
+                $($(
+                    if let Some(v) = &self.$opt {
+                        pairs.push((
+                            stringify!($opt).to_string(),
+                            $crate::json::ToJson::to_json(v),
+                        ));
+                    }
+                )+)?
+                $crate::json::JsonValue::Object(pairs)
+            }
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                w.begin_object();
+                $(
+                    w.quoted_key(concat!("\"", stringify!($field), "\""));
+                    $crate::json::ToJson::write_json(&self.$field, w);
+                )+
+                $($(
+                    if let Some(v) = &self.$opt {
+                        w.quoted_key(concat!("\"", stringify!($opt), "\""));
+                        $crate::json::ToJson::write_json(v, w);
+                    }
+                )+)?
+                w.end_object();
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -876,6 +1155,10 @@ macro_rules! impl_json_struct {
                     $($field: $crate::json::FromJson::from_json(
                         v.field(stringify!($field))?,
                     )?,)+
+                    $($($opt: match v.get(stringify!($opt)) {
+                        Some(x) => $crate::json::FromJson::from_json(x)?,
+                        None => None,
+                    },)+)?
                 })
             }
         }
@@ -890,6 +1173,9 @@ macro_rules! impl_json_newtype {
         impl $crate::json::ToJson for $ty {
             fn to_json(&self) -> $crate::json::JsonValue {
                 $crate::json::ToJson::to_json(&self.0)
+            }
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                $crate::json::ToJson::write_json(&self.0, w);
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -911,6 +1197,11 @@ macro_rules! impl_json_unit_enum {
                     $($ty::$variant => stringify!($variant),)+
                 };
                 $crate::json::JsonValue::Str(name.to_string())
+            }
+            fn write_json(&self, w: &mut $crate::json::JsonWriter) {
+                w.quoted_str(match self {
+                    $($ty::$variant => concat!("\"", stringify!($variant), "\""),)+
+                });
             }
         }
         impl $crate::json::FromJson for $ty {
@@ -1059,6 +1350,23 @@ mod tests {
         assert!(JsonValue::parse("nul").is_err());
         assert!(JsonValue::parse(r#""unterminated"#).is_err());
         assert!(JsonValue::parse("1e").is_err());
+        // Strict number grammar.
+        for bad in [
+            "01", "-01", "1.", "1.e5", ".5", "-", "+1", "1e+", "0x10", "1.5.2",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted `{bad}`");
+        }
+        for good in ["0", "-0", "0.5", "-1.25e-3", "1E5", "10", "1e+2"] {
+            assert!(JsonValue::parse(good).is_ok(), "rejected `{good}`");
+        }
+        // `\u` takes exactly four hex digits, no sign.
+        assert!(JsonValue::parse(r#""\u+041""#).is_err());
+        assert!(JsonValue::parse(r#""\u-041""#).is_err());
+        assert!(JsonValue::parse(r#""\u04g1""#).is_err());
+        assert_eq!(
+            JsonValue::parse(r#""\u0041\u00e9""#).unwrap(),
+            JsonValue::Str("A\u{e9}".into())
+        );
     }
 
     #[test]

@@ -2,7 +2,6 @@
 
 use crate::exception::ConflictException;
 use crate::forensics::ForensicsReport;
-use rce_common::json::{FromJson, JsonValue, ToJson};
 use rce_common::obs::{MetricsTimeline, TraceLog};
 use rce_common::{impl_json_struct, Bytes, Cycles, PicoJoules, ProtocolKind};
 use rce_dram::DramStats;
@@ -123,96 +122,36 @@ pub struct SimReport {
     pub forensics: Option<ForensicsReport>,
 }
 
-// Hand-written (not `impl_json_struct!`) for one reason: the
-// observability fields must be *omitted* — not `null` — when absent,
-// so a report produced with observability off serializes byte-for-byte
-// the same as before the fields existed.
-impl ToJson for SimReport {
-    fn to_json(&self) -> JsonValue {
-        let mut fields: Vec<(String, JsonValue)> = vec![
-            ("protocol".to_string(), self.protocol.to_json()),
-            ("workload".to_string(), self.workload.to_json()),
-            ("cores".to_string(), self.cores.to_json()),
-            ("cycles".to_string(), self.cycles.to_json()),
-            ("mem_ops".to_string(), self.mem_ops.to_json()),
-            ("sync_ops".to_string(), self.sync_ops.to_json()),
-            ("regions".to_string(), self.regions.to_json()),
-            ("l1_hits".to_string(), self.l1_hits.to_json()),
-            ("l1_misses".to_string(), self.l1_misses.to_json()),
-            ("l1_evictions".to_string(), self.l1_evictions.to_json()),
-            ("llc_hits".to_string(), self.llc_hits.to_json()),
-            ("llc_misses".to_string(), self.llc_misses.to_json()),
-            ("noc".to_string(), self.noc.to_json()),
-            ("dram".to_string(), self.dram.to_json()),
-            ("aim".to_string(), self.aim.to_json()),
-            ("energy".to_string(), self.energy.to_json()),
-            (
-                "engine_counters".to_string(),
-                self.engine_counters.to_json(),
-            ),
-            ("access_latency".to_string(), self.access_latency.to_json()),
-            ("region_len".to_string(), self.region_len.to_json()),
-            ("boundary_cost".to_string(), self.boundary_cost.to_json()),
-            ("per_core".to_string(), self.per_core.to_json()),
-            ("exceptions".to_string(), self.exceptions.to_json()),
-            (
-                "oracle_conflicts".to_string(),
-                self.oracle_conflicts.to_json(),
-            ),
-            ("aborted".to_string(), self.aborted.to_json()),
-        ];
-        if let Some(t) = &self.timeline {
-            fields.push(("timeline".to_string(), t.to_json()));
-        }
-        if let Some(t) = &self.trace {
-            fields.push(("trace".to_string(), t.to_json()));
-        }
-        if let Some(f) = &self.forensics {
-            fields.push(("forensics".to_string(), f.to_json()));
-        }
-        JsonValue::Object(fields)
-    }
-}
-
-impl FromJson for SimReport {
-    fn from_json(v: &JsonValue) -> Result<Self, String> {
-        fn opt<T: FromJson>(v: &JsonValue, key: &str) -> Result<Option<T>, String> {
-            match v.get(key) {
-                None | Some(JsonValue::Null) => Ok(None),
-                Some(x) => Ok(Some(T::from_json(x)?)),
-            }
-        }
-        Ok(SimReport {
-            protocol: FromJson::from_json(v.field("protocol")?)?,
-            workload: FromJson::from_json(v.field("workload")?)?,
-            cores: FromJson::from_json(v.field("cores")?)?,
-            cycles: FromJson::from_json(v.field("cycles")?)?,
-            mem_ops: FromJson::from_json(v.field("mem_ops")?)?,
-            sync_ops: FromJson::from_json(v.field("sync_ops")?)?,
-            regions: FromJson::from_json(v.field("regions")?)?,
-            l1_hits: FromJson::from_json(v.field("l1_hits")?)?,
-            l1_misses: FromJson::from_json(v.field("l1_misses")?)?,
-            l1_evictions: FromJson::from_json(v.field("l1_evictions")?)?,
-            llc_hits: FromJson::from_json(v.field("llc_hits")?)?,
-            llc_misses: FromJson::from_json(v.field("llc_misses")?)?,
-            noc: FromJson::from_json(v.field("noc")?)?,
-            dram: FromJson::from_json(v.field("dram")?)?,
-            aim: FromJson::from_json(v.field("aim")?)?,
-            energy: FromJson::from_json(v.field("energy")?)?,
-            engine_counters: FromJson::from_json(v.field("engine_counters")?)?,
-            access_latency: FromJson::from_json(v.field("access_latency")?)?,
-            region_len: FromJson::from_json(v.field("region_len")?)?,
-            boundary_cost: FromJson::from_json(v.field("boundary_cost")?)?,
-            per_core: FromJson::from_json(v.field("per_core")?)?,
-            exceptions: FromJson::from_json(v.field("exceptions")?)?,
-            oracle_conflicts: FromJson::from_json(v.field("oracle_conflicts")?)?,
-            aborted: FromJson::from_json(v.field("aborted")?)?,
-            timeline: opt(v, "timeline")?,
-            trace: opt(v, "trace")?,
-            forensics: opt(v, "forensics")?,
-        })
-    }
-}
+// The observability fields are omitted, not `null`, when absent, so a
+// report produced with observability off serializes byte-for-byte the
+// same as before the fields existed.
+impl_json_struct!(SimReport {
+    protocol,
+    workload,
+    cores,
+    cycles,
+    mem_ops,
+    sync_ops,
+    regions,
+    l1_hits,
+    l1_misses,
+    l1_evictions,
+    llc_hits,
+    llc_misses,
+    noc,
+    dram,
+    aim,
+    energy,
+    engine_counters,
+    access_latency,
+    region_len,
+    boundary_cost,
+    per_core,
+    exceptions,
+    oracle_conflicts,
+    aborted;
+    omitted_if_none: timeline, trace, forensics
+});
 
 impl SimReport {
     /// Total on-chip traffic.

@@ -66,9 +66,12 @@ pub fn validate(p: &Program) -> RceResult<()> {
                             "thread {t} op {i}: access len {len} out of range"
                         )));
                     }
-                    let first_line = addr.line();
-                    let last_line = rce_common::Addr(addr.0 + len as u64 - 1).line();
-                    if first_line != last_line {
+                    let last = addr.0.checked_add(len as u64 - 1).ok_or_else(|| {
+                        RceError::MalformedProgram(format!(
+                            "thread {t} op {i}: access at {addr} len {len} overflows the address space"
+                        ))
+                    })?;
+                    if addr.line() != rce_common::Addr(last).line() {
                         return Err(RceError::MalformedProgram(format!(
                             "thread {t} op {i}: access at {addr} len {len} crosses a line"
                         )));
@@ -188,6 +191,18 @@ mod tests {
         );
         let err = validate(&b.finish()).unwrap_err();
         assert!(err.to_string().contains("crosses a line"));
+        // An access running off the end of the address space is an
+        // error too, not an overflow panic.
+        let mut b = Builder::new("bad", 1);
+        b.push(
+            0,
+            crate::op::Op::Read {
+                addr: Addr(u64::MAX - 2),
+                len: 8,
+            },
+        );
+        let err = validate(&b.finish()).unwrap_err();
+        assert!(err.to_string().contains("overflows the address space"));
     }
 
     #[test]

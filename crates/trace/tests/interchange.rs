@@ -62,3 +62,44 @@ fn compact_encoding_is_reasonable() {
     let per_op = text.len() as f64 / p.total_ops() as f64;
     assert!(per_op < 100.0, "{per_op:.1} bytes/op is too fat");
 }
+
+#[test]
+fn damaged_trace_files_are_rejected_not_panicked_on() {
+    use rce_common::check::{check_n, Unshrunk};
+    use rce_common::{prop_assert, Rng};
+    // Between them the two programs use every op kind.
+    let texts: Vec<String> = [WorkloadSpec::PingPong, WorkloadSpec::RacyPair]
+        .iter()
+        .map(|w| json::to_string(&w.build(2, 1, 42)))
+        .collect();
+    check_n(
+        "damaged trace files are rejected, not panicked on",
+        1000,
+        |rng| {
+            let which = rng.gen_range(texts.len() as u64) as usize;
+            let at = rng.gen_range(texts[which].len() as u64) as usize;
+            // 0 truncates at `at`; anything else is XORed into that byte.
+            // Both keep the ASCII text valid UTF-8.
+            let flip = if rng.gen_bool(0.5) {
+                0
+            } else {
+                1 + rng.gen_range(127) as u8
+            };
+            Unshrunk((which, at, flip))
+        },
+        |Unshrunk((which, at, flip))| {
+            let mut bytes = texts[*which].as_bytes().to_vec();
+            if *flip == 0 {
+                bytes.truncate(*at);
+            } else {
+                bytes[*at] ^= flip;
+            }
+            let text = String::from_utf8(bytes).expect("ASCII stays UTF-8");
+            let outcome = std::panic::catch_unwind(|| {
+                json::from_str::<Program>(&text).map(|p| validate(&p).is_ok())
+            });
+            prop_assert!(outcome.is_ok(), "panicked on {text}");
+            Ok(())
+        },
+    );
+}

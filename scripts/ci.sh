@@ -154,4 +154,18 @@ if ! cargo run -q --release --offline -p rce-bench --bin paper -- \
 fi
 echo "ok: bench trajectory matches the committed baseline"
 
+echo "== simbench build + pinned values (rce-simbench --pin) =="
+# simbench is its own workspace, so the workspace build above does not
+# compile it: a change to an API it calls (e.g. the json traits) would
+# otherwise only break the benchmark. --pin re-runs every simulation of
+# its three workloads (32 and 64 cores) and prints the values the
+# benchmark checks; they must equal the committed pin exactly.
+cargo build --release --offline --manifest-path simbench/Cargo.toml
+if ! simbench/target/release/rce-simbench --pin --seed 42 |
+    diff - simbench/expected/seed-42.tsv; then
+    echo "FAIL: simbench pinned values drifted from simbench/expected/seed-42.tsv" >&2
+    exit 1
+fi
+echo "ok: simbench builds and its pinned 32/64-core values are unchanged"
+
 echo "== ci passed =="
