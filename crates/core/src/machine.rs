@@ -9,19 +9,21 @@
 //! region-clock advance + oracle clear) and then go through the
 //! functional lock/barrier managers. The oracle observes the identical
 //! committed stream, giving ground truth for differential testing.
-
-use crate::exception::{AccessType, ConflictException, ExceptionPolicy};
+use crate::exception::{AccessType, ConflictException, ConflictSide, ExceptionPolicy};
 use crate::forensics::Forensics;
 use crate::oracle::Oracle;
 use crate::protocol::{Engine, Substrate};
-use crate::report::{AimSummary, SimReport};
+use crate::report::{AimSummary, CoreStats, SimReport};
 use crate::sched::ReadyQueue;
 use crate::sync::{AcquireOutcome, BarrierManager, BarrierOutcome, LockManager};
 use rce_common::obs::{
-    shared_tracer, EventClass, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SimEvent,
-    TraceConfig, Tracer,
+    shared_tracer, EventClass, EventKind, GaugeSnapshot, MetricsSampler, ObsConfig, SharedTracer,
+    SimEvent, TraceConfig, Tracer,
 };
-use rce_common::{BarrierId, CoreId, Cycles, LockId, MachineConfig, RceError, RceResult, WordMask};
+use rce_common::{
+    Addr, BarrierId, CoreId, Cycles, Histogram, LockId, MachineConfig, RceError, RceResult,
+    WordMask,
+};
 use rce_energy::{EnergyModel, EventCounts};
 use rce_trace::{Op, Program};
 use std::collections::HashSet;
@@ -29,39 +31,29 @@ use std::fmt::Write as _;
 
 /// Per-core execution status. Blocked states carry the object the core
 /// is waiting on, so a deadlock report can name it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Status {
+    #[default]
     Ready,
     BlockedLock(LockId),
     BlockedBarrier(BarrierId),
     Done,
 }
 
-/// Describe a deadlock: every live core, what it waits on, and who is
-/// in the way. The prefix is stable (tests and callers match on it);
-/// the per-core detail follows.
-fn deadlock_error(status: &[Status], locks: &LockManager, barriers: &BarrierManager) -> RceError {
-    let mut msg = String::from("all live cores are blocked (deadlock)");
-    for (i, s) in status.iter().enumerate() {
-        match s {
-            Status::BlockedLock(l) => {
-                let _ = match locks.holder(*l) {
-                    Some(h) => write!(msg, "; c{i} waits on {l} held by {h}"),
-                    None => write!(msg, "; c{i} waits on {l} (unheld)"),
-                };
-            }
-            Status::BlockedBarrier(b) => {
-                let _ = write!(
-                    msg,
-                    "; c{i} waits at {b} ({} of {} cores arrived)",
-                    barriers.waiting(*b),
-                    status.len()
-                );
-            }
-            Status::Ready | Status::Done => {}
-        }
-    }
-    RceError::DriverProtocol(msg)
+/// One core's driver state.
+#[derive(Debug, Clone, Copy, Default)]
+struct CoreState {
+    /// Index of the core's next operation in its thread.
+    cursor: usize,
+    /// The core's local clock.
+    clock: Cycles,
+    status: Status,
+    /// Memory ops committed in the core's current region.
+    region_ops: u64,
+    /// When the core's current region began.
+    region_start: Cycles,
+    /// The core's row of the report.
+    stats: CoreStats,
 }
 
 /// Scheduler steps allowed per program operation before the driver
@@ -89,35 +81,8 @@ pub fn default_step_limit(total_ops: u64) -> u64 {
 /// The simulator.
 pub struct Machine {
     cfg: MachineConfig,
-    energy_model: EnergyModel,
     step_limit: Option<u64>,
     obs: ObsConfig,
-}
-
-/// Read every cumulative gauge the interval sampler differences.
-fn gauges(sub: &Substrate, engine: &dyn Engine, exceptions: u64) -> GaugeSnapshot {
-    let noc = sub.noc.stats();
-    let dram = sub.dram.stats();
-    let (aim_hits, aim_misses) = engine
-        .aim_totals()
-        .map(|(_, h, m, _)| (h, m))
-        .unwrap_or((0, 0));
-    let (_, llc_misses, _) = sub.llc.gauges();
-    let (_, _, l1_evictions) = engine.l1_totals();
-    GaugeSnapshot {
-        noc_msgs: noc.total_msgs(),
-        noc_bytes: noc.total_bytes().0,
-        noc_queue_delay: noc.total_queue_delay.get(),
-        link_busy: sub.noc.link_busy_cycles(),
-        dram_accesses: dram.total_accesses(),
-        dram_bytes: dram.total_bytes().0,
-        dram_queue_delay: dram.total_queue_delay.get(),
-        aim_hits,
-        aim_misses,
-        llc_misses,
-        l1_evictions,
-        exceptions,
-    }
 }
 
 impl Machine {
@@ -126,7 +91,6 @@ impl Machine {
         cfg.validate().map_err(RceError::InvalidConfig)?;
         Ok(Machine {
             cfg: cfg.clone(),
-            energy_model: EnergyModel::default(),
             step_limit: None,
             obs: ObsConfig::default(),
         })
@@ -137,12 +101,6 @@ impl Machine {
     /// reports are byte-identical to builds without the subsystem.
     pub fn with_observability(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
-        self
-    }
-
-    /// Override the energy model.
-    pub fn with_energy_model(mut self, m: EnergyModel) -> Self {
-        self.energy_model = m;
         self
     }
 
@@ -173,40 +131,59 @@ impl Machine {
                 self.cfg.cores
             )));
         }
-
-        let mut engine = crate::engine_for(&self.cfg);
-        let mut sub = Substrate::new(&self.cfg);
-        let mut oracle = Oracle::new(&sub.regions);
-        let mut locks = LockManager::new(program.n_locks);
-        let mut barriers = BarrierManager::new(self.cfg.cores, program.n_barriers);
-
-        let n = self.cfg.cores;
-        let mut cursor = vec![0usize; n];
-        let mut clock = vec![Cycles::ZERO; n];
-        let mut status = vec![Status::Ready; n];
-        // Index-min scheduler: every Ready core has exactly one queued
-        // entry carrying its current clock. Pop order — smallest clock,
-        // lowest core ID on ties — matches the old linear scan exactly
-        // (pinned by `sched::tests` and the golden gate) in O(log n).
-        let mut ready = ReadyQueue::with_capacity(n);
-        for c in 0..n {
-            ready.push(Cycles::ZERO, c);
+        let limit = self
+            .step_limit
+            .unwrap_or_else(|| default_step_limit(program.total_ops() as u64));
+        let mut run = Run::new(self, program, policy);
+        for _ in 0..limit {
+            if !run.step()? {
+                return Ok(run.finish());
+            }
         }
+        Err(RceError::StepLimitExceeded {
+            steps: limit + 1,
+            limit,
+            cursors: run.cores.iter().map(|s| s.cursor as u64).collect(),
+            mem_ops: run.cores.iter().map(|s| s.stats.mem_ops).sum(),
+        })
+    }
+}
 
-        let mut mem_ops = 0u64;
-        let mut sync_ops = 0u64;
-        let mut regions = 0u64;
-        let mut access_latency = rce_common::Histogram::new();
-        let mut region_len = rce_common::Histogram::new();
-        let mut boundary_cost = rce_common::Histogram::new();
-        // Memory ops committed in each core's current region.
-        let mut region_ops = vec![0u64; n];
-        let mut per_core = vec![crate::report::CoreStats::default(); n];
-        let mut exceptions: Vec<ConflictException> = Vec::new();
-        let mut seen = HashSet::new();
-        let mut aborted = false;
-        let obs = &self.obs;
-        let trace_requested = obs.trace.is_some();
+/// One run in progress: the simulated machine, the per-core driver
+/// state, and the statistics that become the report.
+struct Run<'a> {
+    machine: &'a Machine,
+    program: &'a Program,
+    policy: ExceptionPolicy,
+    engine: Box<dyn Engine>,
+    sub: Substrate,
+    oracle: Oracle,
+    locks: LockManager,
+    barriers: BarrierManager,
+    cores: Vec<CoreState>,
+    /// One entry per Ready core, at its clock; pops the smallest clock,
+    /// lowest core ID on ties.
+    ready: ReadyQueue,
+    regions: u64,
+    access_latency: Histogram,
+    region_len: Histogram,
+    boundary_cost: Histogram,
+    exceptions: Vec<ConflictException>,
+    /// Keys of the delivered exceptions; repeats are not delivered.
+    seen: HashSet<(ConflictSide, ConflictSide, Addr)>,
+    aborted: bool,
+    tracer: Option<SharedTracer>,
+    forensics: Option<Forensics>,
+    sampler: Option<MetricsSampler>,
+}
+
+impl<'a> Run<'a> {
+    fn new(machine: &'a Machine, program: &'a Program, policy: ExceptionPolicy) -> Self {
+        let (cfg, obs) = (&machine.cfg, &machine.obs);
+        let n = cfg.cores;
+        let engine = crate::engine_for(cfg);
+        let mut sub = Substrate::new(cfg);
+        let oracle = Oracle::new(&sub.regions);
         let mut tracer = obs.trace.clone().map(|tc| shared_tracer(Tracer::new(tc)));
         if tracer.is_none() && obs.forensics.is_some() {
             // Forensics wants recent-event windows even when the user
@@ -214,8 +191,6 @@ impl Machine {
             // never exported in the report.
             tracer = Some(shared_tracer(Tracer::new(TraceConfig::default())));
         }
-        let mut forensics = obs.forensics.clone().map(Forensics::new);
-        let mut region_start = vec![Cycles::ZERO; n];
         if let Some(t) = &tracer {
             sub.attach_tracer(t.clone());
             // Every core's first region opens at t=0.
@@ -229,276 +204,299 @@ impl Machine {
                 });
             }
         }
-        let mut sampler = obs.sample_interval.map(MetricsSampler::new);
+        let mut ready = ReadyQueue::with_capacity(n);
+        for c in 0..n {
+            ready.push(Cycles::ZERO, c);
+        }
+        Run {
+            machine,
+            program,
+            policy,
+            engine,
+            sub,
+            oracle,
+            locks: LockManager::new(program.n_locks),
+            barriers: BarrierManager::new(n, program.n_barriers),
+            cores: vec![CoreState::default(); n],
+            ready,
+            regions: 0,
+            access_latency: Histogram::new(),
+            region_len: Histogram::new(),
+            boundary_cost: Histogram::new(),
+            exceptions: Vec::new(),
+            seen: HashSet::new(),
+            aborted: false,
+            tracer,
+            forensics: obs.forensics.clone().map(Forensics::new),
+            sampler: obs.sample_interval.map(MetricsSampler::new),
+        }
+    }
 
-        let limit = self
-            .step_limit
-            .unwrap_or_else(|| default_step_limit(program.total_ops() as u64));
-        let mut steps = 0u64;
+    /// Let the runnable core with the smallest clock (lowest ID on
+    /// ties) commit its next operation. `Ok(false)` means the run is
+    /// over: every thread finished, or an exception aborted it.
+    fn step(&mut self) -> RceResult<bool> {
+        let Some((popped_clock, c)) = self.ready.pop() else {
+            if self.cores.iter().all(|s| s.status == Status::Done) {
+                return Ok(false);
+            }
+            return Err(self.deadlock_error());
+        };
+        debug_assert_eq!(self.cores[c].status, Status::Ready);
+        debug_assert_eq!(popped_clock, self.cores[c].clock, "queued entry went stale");
+        let (core, now) = (CoreId(c as u16), self.cores[c].clock);
 
-        // End the core's current region: engine boundary work, region
-        // clock advance, oracle clear, statistics.
-        #[allow(clippy::too_many_arguments)]
-        fn boundary(
-            engine: &mut Box<dyn Engine>,
-            sub: &mut Substrate,
-            oracle: &mut Oracle,
-            core: CoreId,
-            now: Cycles,
-            regions: &mut u64,
-            region_ops: &mut [u64],
-            region_len: &mut rce_common::Histogram,
-            boundary_cost: &mut rce_common::Histogram,
-            region_start: &mut [Cycles],
-            forensics: &mut Option<Forensics>,
-        ) -> RceResult<Cycles> {
-            let old_region = sub.region_of(core);
-            let b = engine.region_boundary(sub, core, now)?;
-            let new_region = sub.advance_region(core);
-            oracle.region_boundary(core, new_region);
-            *regions += 1;
-            let ops = std::mem::take(&mut region_ops[core.index()]);
-            if ops > 0 {
-                region_len.record(ops);
+        if self.sampler.as_ref().is_some_and(|s| s.due(now.0)) {
+            let snap = self.gauges();
+            if let Some(s) = &mut self.sampler {
+                s.tick(now.0, snap);
             }
-            let done = b.done.max(now);
-            boundary_cost.record(done.0 - now.0);
-            if let Some(f) = forensics.as_mut() {
-                f.region_ended(done.0.saturating_sub(region_start[core.index()].0));
-            }
-            region_start[core.index()] = done;
-            sub.trace(EventClass::Region, || SimEvent {
-                cycle: done.0,
-                core: Some(core.0),
-                region: Some(old_region.0),
-                kind: EventKind::RegionEnd {
-                    cost: done.0 - now.0,
-                },
-            });
-            sub.trace(EventClass::Region, || SimEvent {
-                cycle: done.0,
-                core: Some(core.0),
-                region: Some(new_region.0),
-                kind: EventKind::RegionBegin,
-            });
-            Ok(done)
         }
 
-        'run: loop {
-            steps += 1;
-            if steps > limit {
-                return Err(RceError::StepLimitExceeded {
-                    steps,
-                    limit,
-                    cursors: cursor.iter().map(|&c| c as u64).collect(),
-                    mem_ops,
-                });
+        let Some(&op) = self.program.threads[c].get(self.cores[c].cursor) else {
+            // The thread is finished: its final region ends here.
+            let done = self.end_region(c, now)?;
+            let st = &mut self.cores[c];
+            st.clock = done;
+            st.status = Status::Done;
+            st.stats.finish = done;
+            return Ok(true);
+        };
+        self.cores[c].cursor += 1;
+        // A synchronization op first ends the core's region.
+        if op.is_sync() {
+            self.cores[c].stats.sync_ops += 1;
+            self.cores[c].clock = self.end_region(c, now)?;
+        }
+        let done = self.cores[c].clock;
+        match op {
+            Op::Work { cycles } => {
+                let scaled = (cycles as f64 * self.machine.cfg.ipc_scale).round() as u64;
+                self.cores[c].clock = Cycles(now.0 + scaled.max(1));
             }
-            // Pop the runnable core with the smallest clock (lowest ID
-            // on ties).
-            let Some((popped_clock, c)) = ready.pop() else {
-                if status.iter().all(|s| *s == Status::Done) {
-                    break 'run;
-                }
-                return Err(deadlock_error(&status, &locks, &barriers));
-            };
-            debug_assert_eq!(status[c], Status::Ready);
-            debug_assert_eq!(popped_clock, clock[c], "queued entry went stale");
-            let core = CoreId(c as u16);
-            let now = clock[c];
-
-            if let Some(s) = &mut sampler {
-                if s.due(now.0) {
-                    s.tick(now.0, gauges(&sub, &*engine, exceptions.len() as u64));
+            Op::Read { addr, len } => self.access(c, addr, len, AccessType::Read)?,
+            Op::Write { addr, len } => self.access(c, addr, len, AccessType::Write)?,
+            Op::Acquire { lock } => match self.locks.acquire(lock, core, done) {
+                AcquireOutcome::Granted(t) => self.cores[c].clock = t,
+                AcquireOutcome::Blocked => self.cores[c].status = Status::BlockedLock(lock),
+            },
+            Op::Release { lock } => {
+                if let Some((next, t)) = self.locks.release(lock, core, done) {
+                    debug_assert_eq!(self.cores[next.index()].status, Status::BlockedLock(lock));
+                    self.wake(next.index(), t);
                 }
             }
+            Op::Barrier { bar } => match self.barriers.arrive(bar, core, done) {
+                BarrierOutcome::Blocked => self.cores[c].status = Status::BlockedBarrier(bar),
+                BarrierOutcome::Released(cores, t) => {
+                    // `cores` includes this one, which the end-of-step
+                    // push below re-queues.
+                    self.cores[c].clock = done.max(t);
+                    for rc in cores.into_iter().filter(|rc| rc.index() != c) {
+                        self.wake(rc.index(), t);
+                    }
+                }
+            },
+        }
 
-            // Thread finished?
-            if cursor[c] >= program.threads[c].len() {
-                // Final region ends at thread end.
-                let done = boundary(
-                    &mut engine,
-                    &mut sub,
-                    &mut oracle,
-                    core,
-                    now,
-                    &mut regions,
-                    &mut region_ops,
-                    &mut region_len,
-                    &mut boundary_cost,
-                    &mut region_start,
-                    &mut forensics,
-                )?;
-                clock[c] = done;
-                status[c] = Status::Done;
-                per_core[c].finish = done;
+        // Re-queue the stepped core at its new clock unless it blocked
+        // (or finished, which returns above). Blocked cores are pushed
+        // by whoever wakes them.
+        if self.cores[c].status == Status::Ready {
+            self.ready.push(self.cores[c].clock, c);
+        }
+        Ok(!self.aborted)
+    }
+
+    /// Make blocked core `i` runnable no earlier than `t` and queue it.
+    fn wake(&mut self, i: usize, t: Cycles) {
+        let st = &mut self.cores[i];
+        st.status = Status::Ready;
+        st.clock = st.clock.max(t);
+        self.ready.push(st.clock, i);
+    }
+
+    /// Commit core `c`'s next memory access: engine, oracle, then
+    /// delivery of the exceptions it raised (the first of which ends
+    /// the run under [`ExceptionPolicy::AbortOnFirst`]).
+    fn access(&mut self, c: usize, addr: Addr, len: u32, kind: AccessType) -> RceResult<()> {
+        let (core, now) = (CoreId(c as u16), self.cores[c].clock);
+        let mask = WordMask::span(addr, len as u64);
+        let res = self
+            .engine
+            .access(&mut self.sub, core, addr, mask, kind, now)?;
+        // The access commits even if one of its exceptions aborts the
+        // run, so it is counted before they are delivered.
+        let done = res.done.max(Cycles(now.0 + 1));
+        let st = &mut self.cores[c];
+        st.clock = done;
+        st.region_ops += 1;
+        st.stats.mem_ops += 1;
+        self.access_latency.record(done.0 - now.0);
+        self.sub.trace(EventClass::Access, || SimEvent {
+            cycle: now.0,
+            core: Some(core.0),
+            region: Some(self.sub.region_of(core).0),
+            kind: EventKind::MemAccess {
+                addr: addr.0,
+                write: kind == AccessType::Write,
+                exceptions: res.exceptions.len() as u64,
+            },
+        });
+        // Oracle sees the same committed access, word by word, at the
+        // configured detection granularity.
+        let line = addr.line();
+        for w in self.machine.cfg.detect_mask(mask).iter() {
+            let _ = self.oracle.observe(core, line.word_addr(w), kind, now);
+        }
+        for (i, ex) in res.exceptions.into_iter().enumerate() {
+            if let Some(f) = &mut self.forensics {
+                f.observe(&ex);
+            }
+            if !self.seen.insert(ex.key()) {
                 continue;
             }
-
-            let op = program.threads[c][cursor[c]];
-            cursor[c] += 1;
-            // A synchronization op first ends the core's region.
-            let done = if op.is_sync() {
-                sync_ops += 1;
-                per_core[c].sync_ops += 1;
-                boundary(
-                    &mut engine,
-                    &mut sub,
-                    &mut oracle,
-                    core,
-                    now,
-                    &mut regions,
-                    &mut region_ops,
-                    &mut region_len,
-                    &mut boundary_cost,
-                    &mut region_start,
-                    &mut forensics,
-                )?
-            } else {
-                now
-            };
-            match op {
-                Op::Work { cycles } => {
-                    let scaled = (cycles as f64 * self.cfg.ipc_scale).round() as u64;
-                    clock[c] = Cycles(now.0 + scaled.max(1));
+            self.sub.trace(EventClass::Conflict, || {
+                let letter = |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
+                let other = if ex.a.core == core { ex.b } else { ex.a }.core;
+                SimEvent {
+                    cycle: now.0,
+                    core: Some(core.0),
+                    region: Some(self.sub.region_of(core).0),
+                    kind: EventKind::Conflict {
+                        word: ex.word_addr.0 / 8,
+                        other_core: other.0 as u64,
+                        kinds: format!("{}/{}", letter(ex.a.kind), letter(ex.b.kind)),
+                    },
                 }
-                Op::Read { addr, len } | Op::Write { addr, len } => {
-                    let kind = if matches!(op, Op::Write { .. }) {
-                        AccessType::Write
-                    } else {
-                        AccessType::Read
-                    };
-                    mem_ops += 1;
-                    let mask = WordMask::span(addr, len as u64);
-                    let res = engine.access(&mut sub, core, addr, mask, kind, now)?;
-                    let dmask = self.cfg.detect_mask(mask);
-                    sub.trace(EventClass::Access, || SimEvent {
-                        cycle: now.0,
-                        core: Some(core.0),
-                        region: Some(sub.region_of(core).0),
-                        kind: EventKind::MemAccess {
-                            addr: addr.0,
-                            write: kind == AccessType::Write,
-                            exceptions: res.exceptions.len() as u64,
-                        },
-                    });
-                    // Oracle sees the same committed access, word by
-                    // word, at the configured detection granularity.
-                    let line = addr.line();
-                    for w in dmask.iter() {
-                        let _ = oracle.observe(core, line.word_addr(w), kind, now);
-                    }
-                    for (i, ex) in res.exceptions.into_iter().enumerate() {
-                        if let Some(f) = &mut forensics {
-                            f.observe(&ex);
-                        }
-                        if seen.insert(ex.key()) {
-                            sub.trace(EventClass::Conflict, || {
-                                let letter =
-                                    |k: AccessType| if k == AccessType::Write { "W" } else { "R" };
-                                let other = if ex.a.core == core {
-                                    ex.b.core
-                                } else {
-                                    ex.a.core
-                                };
-                                SimEvent {
-                                    cycle: now.0,
-                                    core: Some(core.0),
-                                    region: Some(sub.region_of(core).0),
-                                    kind: EventKind::Conflict {
-                                        word: ex.word_addr.0 / 8,
-                                        other_core: other.0 as u64,
-                                        kinds: format!(
-                                            "{}/{}",
-                                            letter(ex.a.kind),
-                                            letter(ex.b.kind)
-                                        ),
-                                    },
-                                }
-                            });
-                            if let Some(f) = &mut forensics {
-                                if let Some(path) = res.paths.get(i).copied() {
-                                    let recent = tracer
-                                        .as_ref()
-                                        .map(|t| f.window(&t.borrow(), line.0))
-                                        .unwrap_or_default();
-                                    f.deliver(ex, path, recent);
-                                }
-                            }
-                            exceptions.push(ex);
-                            if policy == ExceptionPolicy::AbortOnFirst {
-                                clock[c] = res.done.max(Cycles(now.0 + 1));
-                                aborted = true;
-                                break 'run;
-                            }
-                        }
-                    }
-                    clock[c] = res.done.max(Cycles(now.0 + 1));
-                    access_latency.record(clock[c].0 - now.0);
-                    region_ops[c] += 1;
-                    per_core[c].mem_ops += 1;
-                }
-                Op::Acquire { lock } => match locks.acquire(lock, core, done) {
-                    AcquireOutcome::Granted(t) => clock[c] = t,
-                    AcquireOutcome::Blocked => {
-                        clock[c] = done;
-                        status[c] = Status::BlockedLock(lock);
-                    }
-                },
-                Op::Release { lock } => {
-                    if let Some((next, t)) = locks.release(lock, core, done) {
-                        let ni = next.index();
-                        debug_assert_eq!(status[ni], Status::BlockedLock(lock));
-                        status[ni] = Status::Ready;
-                        clock[ni] = clock[ni].max(t);
-                        ready.push(clock[ni], ni);
-                    }
-                    clock[c] = done;
-                }
-                Op::Barrier { bar } => {
-                    clock[c] = done;
-                    match barriers.arrive(bar, core, done) {
-                        BarrierOutcome::Blocked => status[c] = Status::BlockedBarrier(bar),
-                        BarrierOutcome::Released(cores, t) => {
-                            for rc in cores {
-                                let ri = rc.index();
-                                status[ri] = Status::Ready;
-                                clock[ri] = clock[ri].max(t);
-                                // The arriving core is re-queued by the
-                                // generic end-of-step push below.
-                                if ri != c {
-                                    ready.push(clock[ri], ri);
-                                }
-                            }
-                        }
-                    }
+            });
+            if let Some(f) = &mut self.forensics {
+                if let Some(path) = res.paths.get(i).copied() {
+                    let recent = self
+                        .tracer
+                        .as_ref()
+                        .map(|t| f.window(&t.borrow(), line.0))
+                        .unwrap_or_default();
+                    f.deliver(ex, path, recent);
                 }
             }
-
-            // Re-queue the stepped core at its new clock unless it
-            // blocked (or finished, which `continue`s above). Blocked
-            // cores are pushed by whoever wakes them.
-            if status[c] == Status::Ready {
-                ready.push(clock[c], c);
+            self.exceptions.push(ex);
+            if self.policy == ExceptionPolicy::AbortOnFirst {
+                self.aborted = true;
+                break;
             }
         }
+        Ok(())
+    }
 
-        let end = clock.iter().copied().max().unwrap_or(Cycles::ZERO);
-        sub.noc.finalize(end);
-        sub.dram.finalize(end);
+    /// End core `c`'s current region at `now`: engine boundary work
+    /// (CE/CE+ metadata scrub, ARC self-invalidation and write-back),
+    /// region clock advance, oracle clear, statistics. Returns when the
+    /// boundary work is done.
+    fn end_region(&mut self, c: usize, now: Cycles) -> RceResult<Cycles> {
+        let core = CoreId(c as u16);
+        let old_region = self.sub.region_of(core);
+        let b = self.engine.region_boundary(&mut self.sub, core, now)?;
+        let new_region = self.sub.advance_region(core);
+        self.oracle.region_boundary(core, new_region);
+        self.regions += 1;
+        let st = &mut self.cores[c];
+        let ops = std::mem::take(&mut st.region_ops);
+        if ops > 0 {
+            self.region_len.record(ops);
+        }
+        let done = b.done.max(now);
+        self.boundary_cost.record(done.0 - now.0);
+        if let Some(f) = &mut self.forensics {
+            f.region_ended(done.0.saturating_sub(st.region_start.0));
+        }
+        st.region_start = done;
+        self.sub.trace(EventClass::Region, || SimEvent {
+            cycle: done.0,
+            core: Some(core.0),
+            region: Some(old_region.0),
+            kind: EventKind::RegionEnd {
+                cost: done.0 - now.0,
+            },
+        });
+        self.sub.trace(EventClass::Region, || SimEvent {
+            cycle: done.0,
+            core: Some(core.0),
+            region: Some(new_region.0),
+            kind: EventKind::RegionBegin,
+        });
+        Ok(done)
+    }
 
-        // Close out the observability layers. The tracer is drained
-        // (not unwrapped) because the NoC and DRAM still hold clones.
-        let timeline =
-            sampler.map(|s| s.finish(end.0, gauges(&sub, &*engine, exceptions.len() as u64)));
-        // The internal forensics-only ring never reaches the report.
-        let trace = if trace_requested {
-            tracer.map(|t| t.borrow_mut().take_log())
-        } else {
-            None
+    /// Read every cumulative gauge the interval sampler differences.
+    fn gauges(&self) -> GaugeSnapshot {
+        let (sub, engine) = (&self.sub, &self.engine);
+        let noc = sub.noc.stats();
+        let dram = sub.dram.stats();
+        let (aim_hits, aim_misses) = engine
+            .aim_totals()
+            .map(|(_, h, m, _)| (h, m))
+            .unwrap_or((0, 0));
+        let (_, llc_misses, _) = sub.llc.gauges();
+        let (_, _, l1_evictions) = engine.l1_totals();
+        GaugeSnapshot {
+            noc_msgs: noc.total_msgs(),
+            noc_bytes: noc.total_bytes().0,
+            noc_queue_delay: noc.total_queue_delay.get(),
+            link_busy: sub.noc.link_busy_cycles(),
+            dram_accesses: dram.total_accesses(),
+            dram_bytes: dram.total_bytes().0,
+            dram_queue_delay: dram.total_queue_delay.get(),
+            aim_hits,
+            aim_misses,
+            llc_misses,
+            l1_evictions,
+            exceptions: self.exceptions.len() as u64,
+        }
+    }
+
+    /// Describe a deadlock: every live core, what it waits on, and who
+    /// is in the way. The prefix is stable (tests and callers match on
+    /// it); the per-core detail follows.
+    fn deadlock_error(&self) -> RceError {
+        let mut msg = String::from("all live cores are blocked (deadlock)");
+        for (i, s) in self.cores.iter().enumerate() {
+            match s.status {
+                Status::BlockedLock(l) => {
+                    let _ = match self.locks.holder(l) {
+                        Some(h) => write!(msg, "; c{i} waits on {l} held by {h}"),
+                        None => write!(msg, "; c{i} waits on {l} (unheld)"),
+                    };
+                }
+                Status::BlockedBarrier(b) => {
+                    let _ = write!(
+                        msg,
+                        "; c{i} waits at {b} ({} of {} cores arrived)",
+                        self.barriers.waiting(b),
+                        self.cores.len()
+                    );
+                }
+                Status::Ready | Status::Done => {}
+            }
+        }
+        RceError::DriverProtocol(msg)
+    }
+
+    /// Close the run: drain the NoC and DRAM, the observability layers
+    /// and the engine's counters into the report.
+    fn finish(mut self) -> SimReport {
+        let end = self.cores.iter().map(|s| s.clock).max().unwrap_or_default();
+        self.sub.noc.finalize(end);
+        self.sub.dram.finalize(end);
+        let timeline = self.sampler.take().map(|s| s.finish(end.0, self.gauges()));
+        // The tracer is drained (not unwrapped) because the NoC and DRAM
+        // still hold clones; the internal forensics-only ring never
+        // reaches the report.
+        let trace = match &self.tracer {
+            Some(t) if self.machine.obs.trace.is_some() => Some(t.borrow_mut().take_log()),
+            _ => None,
         };
-        let forensics = forensics.map(Forensics::finish);
-
+        let (sub, engine) = (&self.sub, &self.engine);
         let (l1_hits, l1_misses, l1_evictions) = engine.l1_totals();
         let aim = engine.aim_totals().map(|(a, h, m, s)| AimSummary {
             accesses: a,
@@ -515,19 +513,17 @@ impl Machine {
             dram_bytes: sub.dram.total_bytes().0,
             dram_accesses: sub.dram.stats().total_accesses(),
             cycles: end.0,
-            cores: self.cfg.cores as u64,
+            cores: self.machine.cfg.cores as u64,
         };
-        let energy = self.energy_model.evaluate(&counts);
-
-        exceptions.sort();
-        Ok(SimReport {
-            protocol: self.cfg.protocol,
-            workload: program.name.clone(),
-            cores: self.cfg.cores,
+        self.exceptions.sort();
+        SimReport {
+            protocol: self.machine.cfg.protocol,
+            workload: self.program.name.clone(),
+            cores: self.machine.cfg.cores,
             cycles: end,
-            mem_ops,
-            sync_ops,
-            regions,
+            mem_ops: self.cores.iter().map(|s| s.stats.mem_ops).sum(),
+            sync_ops: self.cores.iter().map(|s| s.stats.sync_ops).sum(),
+            regions: self.regions,
             l1_hits,
             l1_misses,
             l1_evictions,
@@ -536,23 +532,23 @@ impl Machine {
             noc: sub.noc.stats().clone(),
             dram: sub.dram.stats().clone(),
             aim,
-            energy,
+            energy: EnergyModel::default().evaluate(&counts),
             engine_counters: engine
                 .extra_counters()
                 .into_iter()
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
-            access_latency,
-            region_len,
-            boundary_cost,
-            per_core,
-            exceptions,
-            oracle_conflicts: oracle.conflicts(),
-            aborted,
+            access_latency: self.access_latency,
+            region_len: self.region_len,
+            boundary_cost: self.boundary_cost,
+            per_core: self.cores.iter().map(|s| s.stats).collect(),
+            exceptions: self.exceptions,
+            oracle_conflicts: self.oracle.conflicts(),
+            aborted: self.aborted,
             timeline,
             trace,
-            forensics,
-        })
+            forensics: self.forensics.map(Forensics::finish),
+        }
     }
 }
 

@@ -141,14 +141,44 @@ fn exception_reports_carry_precise_provenance() {
 
 #[test]
 fn abort_policy_is_fail_stop() {
-    let cfg = MachineConfig::paper_default(4, ProtocolKind::Arc);
     let p = WorkloadSpec::RacyPair.build(4, 1, 42);
-    let r = Machine::new(&cfg)
-        .unwrap()
-        .run_with_policy(&p, rce::core::ExceptionPolicy::AbortOnFirst)
-        .unwrap();
-    assert!(r.aborted);
-    assert_eq!(r.exceptions.len(), 1);
+    for proto in ProtocolKind::DETECTORS {
+        let cfg = MachineConfig::paper_default(4, proto);
+        let r = Machine::new(&cfg)
+            .unwrap()
+            .run_with_policy(&p, ExceptionPolicy::AbortOnFirst)
+            .unwrap();
+        assert!(r.aborted, "{proto}");
+        assert_eq!(r.exceptions.len(), 1, "{proto}");
+        // The aborting access committed, so every count of memory
+        // accesses includes it.
+        let per_core: u64 = r.per_core.iter().map(|c| c.mem_ops).sum();
+        assert_eq!(per_core, r.mem_ops, "{proto}");
+        assert_eq!(r.access_latency.count(), r.mem_ops, "{proto}");
+        assert_eq!(r.l1_hits + r.l1_misses, r.mem_ops, "{proto}");
+    }
+}
+
+#[test]
+fn abort_stops_at_the_first_delivered_exception() {
+    for w in [WorkloadSpec::RacyPair, WorkloadSpec::Canneal] {
+        let p = w.build(4, 1, 42);
+        for proto in ProtocolKind::DETECTORS {
+            let cfg = MachineConfig::paper_default(4, proto);
+            let aborted = Machine::new(&cfg)
+                .unwrap()
+                .run_with_policy(&p, ExceptionPolicy::AbortOnFirst)
+                .unwrap();
+            // Forensics records are kept in delivery order.
+            let full = Machine::new(&cfg)
+                .unwrap()
+                .with_observability(rce::common::obs::ObsConfig::forensics_only())
+                .run(&p)
+                .unwrap();
+            let first = full.forensics.expect("forensics was on").records[0].exception;
+            assert_eq!(aborted.exceptions, vec![first], "{w} {proto}");
+        }
+    }
 }
 
 #[test]
