@@ -24,7 +24,7 @@ use rce_bench::{
     figures::{base_sweep, TIMELINE_INTERVAL},
     profile, run_one_obs, Ablation, EvalParams, Experiment,
 };
-use rce_common::{json, ObsConfig};
+use rce_common::{json, MachineConfig, ObsConfig, ProtocolKind};
 use rce_core::{find_variant, AccessType, EngineVariant, REGISTRY};
 use rce_trace::WorkloadSpec;
 use std::io::Write;
@@ -135,6 +135,12 @@ fn main() {
             }
             _ => usage(),
         }
+    }
+    if let Err(e) =
+        MachineConfig::paper_default(params.cores, ProtocolKind::MesiBaseline).validate()
+    {
+        eprintln!("--cores {}: {e}", params.cores);
+        std::process::exit(2);
     }
 
     if command == "trace" {

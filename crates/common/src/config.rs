@@ -11,6 +11,10 @@
 use crate::units::Bytes;
 use crate::{impl_json_struct, impl_json_unit_enum};
 
+/// The most cores a machine may have: the full-map directory and the
+/// reference oracle keep one bit per core in a `u64`.
+pub const MAX_CORES: usize = 64;
+
 /// Which conflict-detection architecture (or baseline) to simulate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ProtocolKind {
@@ -310,8 +314,8 @@ impl Default for AimConfig {
 /// Full machine configuration.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineConfig {
-    /// Number of cores (threads are pinned 1:1). Must be a positive
-    /// even number or 1 so a near-square mesh exists.
+    /// Number of cores (threads are pinned 1:1), 1 to 64
+    /// ([`MAX_CORES`]).
     pub cores: usize,
     /// Private L1 data cache per core.
     pub l1: CacheGeometry,
@@ -449,6 +453,12 @@ impl MachineConfig {
         if self.cores == 0 {
             return Err("cores must be positive".into());
         }
+        if self.cores > MAX_CORES {
+            return Err(format!(
+                "{} cores requested; at most {MAX_CORES} are supported",
+                self.cores
+            ));
+        }
         if !self
             .l1
             .capacity
@@ -532,6 +542,12 @@ mod tests {
             ..MachineConfig::default()
         };
         assert!(c.validate().is_err());
+
+        let c = MachineConfig::paper_default(MAX_CORES + 1, ProtocolKind::Ce);
+        assert!(c.validate().unwrap_err().contains("at most 64"));
+        assert!(MachineConfig::paper_default(MAX_CORES, ProtocolKind::Ce)
+            .validate()
+            .is_ok());
 
         let mut c = MachineConfig::default();
         c.aim.entries = 3000; // not a power of two

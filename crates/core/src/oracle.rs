@@ -10,43 +10,39 @@
 //!
 //! The oracle is infrastructure, not architecture: it charges no time.
 //! Its storage, however, sits on the machine's hot loop (one observe
-//! per committed word), so it uses the same interned flat tables as
-//! the engines ([`LineTable`]/[`LineMap`]) with **epoch versioning**:
-//! each core's read/write "sets" are dense per-word epoch stamps, a
-//! word is live iff its stamp equals the core's current epoch, and a
-//! region boundary is a single epoch bump — O(1), not O(words
-//! touched), and never O(table). A second fast path falls out of the
-//! same structure: if the observing core's own bit is already live,
-//! every conflict identity this access could discover was already
-//! inserted when the later of the two overlapping bits was set, so
-//! the opponent scan is skipped entirely.
+//! per committed word), so it keeps the live sets the way the paper's
+//! designs keep access bits: per word, one reader and one writer mask
+//! with a bit per core, set iff that core's current region read
+//! (wrote) the word. Words are interned into dense ids
+//! ([`LineTable`]) indexing one flat [`LineMap`], so an observe reads
+//! one slot and its opponents are that slot's other set bits. Each
+//! core lists the bits its current region set, and its region
+//! boundary clears exactly those: O(bits set), each already paid for
+//! by the observe that set it.
+//!
+//! If the observing core's same-kind bit is already set, the observe
+//! returns at once: every identity a repeat could discover pairs that
+//! bit with a live opponent bit, and was found when the later of the
+//! two bits was set. Every bit is set once per region, so every
+//! identity is found exactly once and the conflict store is a plain
+//! list.
 
 use crate::exception::{AccessType, ConflictException, ConflictSide};
-use rce_common::{Addr, CoreId, Cycles, LineMap, LineTable, RegionId};
-use std::collections::{HashMap, HashSet};
+use rce_common::{Addr, CoreId, Cycles, LineAddr, LineId, LineMap, LineTable, RegionId, MAX_CORES};
 
-/// One core's live word sets, epoch-versioned. A word id is in the
-/// read (written) set iff its stamp equals `epoch`; stamps start at 0
-/// and `epoch` starts at 1, so a fresh slot is never live.
-#[derive(Debug, Clone)]
-struct CoreSets {
-    region: RegionId,
-    epoch: u64,
-    read: LineMap<u64>,
-    written: LineMap<u64>,
-    read_live: usize,
-    written_live: usize,
+/// The cores whose current region read / wrote one word, bit `c` for
+/// core `c`.
+#[derive(Debug, Clone, Copy, Default)]
+struct WordBits {
+    readers: u64,
+    writers: u64,
 }
 
-impl CoreSets {
-    fn new(region: RegionId) -> Self {
-        CoreSets {
-            region,
-            epoch: 1,
-            read: LineMap::new(),
-            written: LineMap::new(),
-            read_live: 0,
-            written_live: 0,
+impl WordBits {
+    fn mask(&mut self, kind: AccessType) -> &mut u64 {
+        match kind {
+            AccessType::Read => &mut self.readers,
+            AccessType::Write => &mut self.writers,
         }
     }
 }
@@ -57,17 +53,31 @@ pub struct Oracle {
     /// Interner over word-aligned addresses (not lines — the oracle
     /// tracks words; the table is just a dense id allocator).
     words: LineTable,
-    cores: Vec<CoreSets>,
-    conflicts: HashSet<ConflictException>,
+    bits: LineMap<WordBits>,
+    /// Each core's current region.
+    regions: Vec<RegionId>,
+    /// Per core, the bits its current region set.
+    touched: Vec<Vec<(LineId, AccessType)>>,
+    /// Every identity found so far, each exactly once.
+    conflicts: Vec<ConflictException>,
 }
 
 impl Oracle {
     /// Build for `n` cores with their initial region IDs.
+    ///
+    /// # Panics
+    /// If there are more than [`MAX_CORES`] cores.
     pub fn new(initial_regions: &[RegionId]) -> Self {
+        assert!(
+            initial_regions.len() <= MAX_CORES,
+            "oracle supports up to {MAX_CORES} cores"
+        );
         Oracle {
             words: LineTable::new(),
-            cores: initial_regions.iter().map(|r| CoreSets::new(*r)).collect(),
-            conflicts: HashSet::new(),
+            bits: LineMap::new(),
+            regions: initial_regions.to_vec(),
+            touched: vec![Vec::new(); initial_regions.len()],
+            conflicts: Vec::new(),
         }
     }
 
@@ -81,91 +91,74 @@ impl Oracle {
         now: Cycles,
     ) -> Vec<ConflictException> {
         debug_assert_eq!(word_addr.0 % 8, 0, "oracle expects word-aligned addresses");
-        let id = self.words.intern(rce_common::LineAddr(word_addr.0));
-
-        // Fast path: this core already holds the same-kind bit live in
-        // the current epoch. Every identity a repeat could discover
-        // pairs this bit with a live opponent bit, and that identity
-        // was inserted when the later of the two bits was first set —
-        // so there is nothing new to find and nothing to record.
-        {
-            let me = &self.cores[core.index()];
-            let stamp = match kind {
-                AccessType::Read => me.read.get(id),
-                AccessType::Write => me.written.get(id),
-            };
-            if stamp == Some(&me.epoch) {
-                return Vec::new();
-            }
+        let id = self.words.intern(LineAddr(word_addr.0));
+        let me_bit = 1u64 << core.index();
+        let word = self.bits.slot(id);
+        let WordBits { readers, writers } = *word;
+        let own = word.mask(kind);
+        if *own & me_bit != 0 {
+            return Vec::new();
         }
+        *own |= me_bit;
+        self.touched[core.index()].push((id, kind));
 
+        // Set-intersection semantics: every overlapping kind pair with
+        // at least one write is its own conflict identity (see
+        // `MetaMap::check` for why both identities are emitted when
+        // the opponent both read and wrote).
+        let read_side = if kind == AccessType::Write {
+            readers
+        } else {
+            0
+        };
+        let mut opponents = (writers | read_side) & !me_bit;
         let mut found = Vec::new();
         let me = ConflictSide {
             core,
-            region: self.cores[core.index()].region,
+            region: self.regions[core.index()],
             kind,
         };
-        for (i, other) in self.cores.iter().enumerate() {
-            if i == core.index() {
-                continue;
-            }
-            // Set-intersection semantics: every overlapping kind pair
-            // with at least one write is its own conflict identity
-            // (see `MetaMap::check` for why both identities are
-            // emitted when the opponent both read and wrote).
-            let mut other_kinds = Vec::new();
-            if other.written.get(id) == Some(&other.epoch) {
-                other_kinds.push(AccessType::Write);
-            }
-            if kind == AccessType::Write && other.read.get(id) == Some(&other.epoch) {
-                other_kinds.push(AccessType::Read);
-            }
-            for ok in other_kinds {
-                let ex = ConflictException::new(
-                    me,
-                    ConflictSide {
+        while opponents != 0 {
+            let i = opponents.trailing_zeros() as usize;
+            opponents &= opponents - 1;
+            for (mask, other_kind) in [(writers, AccessType::Write), (read_side, AccessType::Read)]
+            {
+                if mask >> i & 1 != 0 {
+                    let other = ConflictSide {
                         core: CoreId(i as u16),
-                        region: other.region,
-                        kind: ok,
-                    },
-                    word_addr,
-                    now,
-                );
-                if self.conflicts.insert(ex) {
-                    found.push(ex);
+                        region: self.regions[i],
+                        kind: other_kind,
+                    };
+                    found.push(ConflictException::new(me, other, word_addr, now));
                 }
             }
         }
-        let sets = &mut self.cores[core.index()];
-        let epoch = sets.epoch;
-        match kind {
-            AccessType::Read => {
-                *sets.read.slot(id) = epoch;
-                sets.read_live += 1;
-            }
-            AccessType::Write => {
-                *sets.written.slot(id) = epoch;
-                sets.written_live += 1;
-            }
-        }
+        self.conflicts.extend_from_slice(&found);
         found
     }
 
-    /// The core's region ended; its sets clear (one epoch bump) and
-    /// the new region begins.
+    /// The core's region ended; the bits it set clear and the new
+    /// region begins.
     pub fn region_boundary(&mut self, core: CoreId, new_region: RegionId) {
-        let sets = &mut self.cores[core.index()];
-        sets.region = new_region;
-        sets.epoch += 1;
-        sets.read_live = 0;
-        sets.written_live = 0;
+        let c = core.index();
+        for (id, kind) in self.touched[c].drain(..) {
+            *self.bits.slot(id).mask(kind) &= !(1u64 << c);
+        }
+        self.regions[c] = new_region;
     }
 
     /// All conflicts observed so far, sorted for deterministic
     /// comparison.
+    ///
+    /// # Panics
+    /// If an identity was found twice, which would be an oracle bug.
     pub fn conflicts(&self) -> Vec<ConflictException> {
-        let mut v: Vec<_> = self.conflicts.iter().copied().collect();
+        let mut v = self.conflicts.clone();
         v.sort();
+        assert!(
+            v.windows(2).all(|w| w[0] != w[1]),
+            "oracle found a conflict identity twice"
+        );
         v
     }
 
@@ -174,18 +167,14 @@ impl Oracle {
         self.conflicts.len()
     }
 
-    /// The set of conflict identities (for differential tests).
-    pub fn keys(&self) -> HashSet<(ConflictSide, ConflictSide, Addr)> {
-        self.conflicts.iter().map(|c| c.key()).collect()
-    }
-
-    /// Live word-set sizes per core (diagnostics).
-    pub fn live_set_sizes(&self) -> HashMap<CoreId, (usize, usize)> {
-        self.cores
+    /// The core's live (read, written) word-set sizes (diagnostics).
+    pub fn live_set_sizes(&self, core: CoreId) -> (usize, usize) {
+        let touched = &self.touched[core.index()];
+        let reads = touched
             .iter()
-            .enumerate()
-            .map(|(i, s)| (CoreId(i as u16), (s.read_live, s.written_live)))
-            .collect()
+            .filter(|(_, k)| *k == AccessType::Read)
+            .count();
+        (reads, touched.len() - reads)
     }
 }
 
@@ -287,17 +276,16 @@ mod tests {
     #[test]
     fn epoch_reuse_after_boundary_is_fresh() {
         // A word touched in an old region must read as dead after the
-        // boundary even though its slot still holds the old stamp, and
-        // re-touching it must make it live again (and repopulate the
-        // live-set sizes).
+        // boundary, and re-touching it must make it live again (and
+        // repopulate the live-set sizes).
         let mut o = oracle(2);
         o.observe(CoreId(0), Addr(8), W, Cycles(0));
         o.observe(CoreId(0), Addr(16), R, Cycles(1));
-        assert_eq!(o.live_set_sizes()[&CoreId(0)], (1, 1));
+        assert_eq!(o.live_set_sizes(CoreId(0)), (1, 1));
         o.region_boundary(CoreId(0), RegionId(100));
-        assert_eq!(o.live_set_sizes()[&CoreId(0)], (0, 0));
+        assert_eq!(o.live_set_sizes(CoreId(0)), (0, 0));
         o.observe(CoreId(0), Addr(8), W, Cycles(2));
-        assert_eq!(o.live_set_sizes()[&CoreId(0)], (0, 1));
+        assert_eq!(o.live_set_sizes(CoreId(0)), (0, 1));
         // The new-region write is live: a remote write now conflicts.
         assert_eq!(o.observe(CoreId(1), Addr(8), W, Cycles(3)).len(), 1);
     }
@@ -311,7 +299,40 @@ mod tests {
         for t in 1..5 {
             assert!(o.observe(CoreId(0), Addr(8), W, Cycles(t)).is_empty());
         }
-        assert_eq!(o.live_set_sizes()[&CoreId(0)], (0, 1));
+        assert_eq!(o.live_set_sizes(CoreId(0)), (0, 1));
         assert_eq!(o.count(), 0);
+    }
+
+    #[test]
+    fn top_core_bit_conflicts_and_clears() {
+        // Core 63 owns the mask's top bit (`1 << 63`).
+        let mut o = oracle(64);
+        o.observe(CoreId(0), Addr(8), W, Cycles(0));
+        let c = o.observe(CoreId(63), Addr(8), R, Cycles(1));
+        assert_eq!(c.len(), 1);
+        assert_eq!((c[0].a.core, c[0].b.core), (CoreId(0), CoreId(63)));
+        assert_eq!(c[0].b.kind, R);
+        o.observe(CoreId(63), Addr(16), W, Cycles(2));
+        o.region_boundary(CoreId(63), RegionId(100));
+        assert_eq!(o.live_set_sizes(CoreId(63)), (0, 0));
+        // Core 63's old bits are gone; core 0's write is still live.
+        assert!(o.observe(CoreId(1), Addr(16), W, Cycles(3)).is_empty());
+        let c = o.observe(CoreId(2), Addr(8), W, Cycles(4));
+        assert_eq!(c.len(), 1);
+        assert_eq!((c[0].a.core, c[0].b.core), (CoreId(0), CoreId(2)));
+    }
+
+    #[test]
+    fn boundary_keeps_other_cores_bits_on_the_word() {
+        let mut o = oracle(3);
+        o.observe(CoreId(0), Addr(8), R, Cycles(0));
+        o.observe(CoreId(1), Addr(8), R, Cycles(1));
+        o.observe(CoreId(1), Addr(8), W, Cycles(2)); // conflict 1w-0r
+        o.region_boundary(CoreId(0), RegionId(100));
+        // Only core 1's read and write remain on the word.
+        let c = o.observe(CoreId(2), Addr(8), W, Cycles(3));
+        let sides: Vec<_> = c.iter().map(|x| (x.a.core, x.a.kind)).collect();
+        assert_eq!(sides, [(CoreId(1), W), (CoreId(1), R)]);
+        assert_eq!(o.count(), 3);
     }
 }

@@ -1,7 +1,7 @@
 //! Driver edge cases: deadlock detection, runaway protection,
 //! degenerate programs.
 
-use rce_common::{MachineConfig, ProtocolKind, RceError};
+use rce_common::{MachineConfig, ProtocolKind, RceError, MAX_CORES};
 use rce_core::Machine;
 use rce_trace::Builder;
 
@@ -87,6 +87,13 @@ fn work_only_program_advances_time() {
 fn invalid_config_rejected_at_construction() {
     let mut cfg = MachineConfig::paper_default(4, ProtocolKind::Ce);
     cfg.aim.entries = 999; // not a power of two
+    assert!(matches!(
+        Machine::new(&cfg),
+        Err(RceError::InvalidConfig(_))
+    ));
+    // One core past the directory's and oracle's per-core bit masks
+    // is an error, not a panic deeper in the build.
+    let cfg = MachineConfig::paper_default(MAX_CORES + 1, ProtocolKind::Ce);
     assert!(matches!(
         Machine::new(&cfg),
         Err(RceError::InvalidConfig(_))

@@ -75,6 +75,22 @@ for engine in MESI CE CE+ ARC; do
     echo "ok: $engine report is byte-identical to its golden"
 done
 
+echo "== core-count limit (paper report --cores 65) =="
+# The directory and the oracle keep one bit per core in a u64. A config
+# past that limit must be refused with an error and a nonzero exit, not
+# reach the simulator and panic.
+if cargo run -q --release --offline -p rce-bench --bin paper -- \
+    report racy_pair CE --cores 65 --scale 1 >/dev/null 2>"$obs_out/cores65.err"; then
+    echo "FAIL: paper report accepted a 65-core machine" >&2
+    exit 1
+fi
+if grep -q panicked "$obs_out/cores65.err"; then
+    echo "FAIL: paper report panicked on a 65-core machine instead of refusing it:" >&2
+    cat "$obs_out/cores65.err" >&2
+    exit 1
+fi
+echo "ok: a 65-core machine is refused with: $(cat "$obs_out/cores65.err")"
+
 echo "== ablation smoke (paper ablate-aim) =="
 # The AIM sensitivity study must run end to end and write R-A7.json
 # with both AIM-backed designs in it.
