@@ -17,7 +17,6 @@
 //! event log, then re-runs with observability off and fails loudly if
 //! instrumentation perturbed the simulation.
 
-use rce_bench::hotpath::{TRAJECTORY_CORES, TRAJECTORY_SCALE, TRAJECTORY_SEED};
 use rce_bench::runner::run_one_cfg;
 use rce_bench::{
     diff::diff_values,
@@ -51,8 +50,8 @@ fn usage() -> ! {
          [--jobs N] [--out DIR]\n       paper trace <workload> <engine> [--cores N] [--scale N] \
          [--seed N] [--out DIR]\n       paper report <workload> <engine> [--cores N] [--scale N] \
          [--seed N]\n       paper explain <workload> <engine> [--cores N] [--scale N] [--seed N] \
-         [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT] [--ignore PATHSUBSTR]...\n       \
-         paper trajectory [--out DIR]\n       paper bench-hot [--smoke]\nexperiments: {}\n\
+         [--top K]\n       paper diff <a.json> <b.json> [--tolerance PCT]\n       \
+         paper trajectory [--out DIR]\nexperiments: {}\n\
          ablations: {}\nengines: {}",
         Experiment::ALL
             .iter()
@@ -74,6 +73,14 @@ fn engine_or_exit(name: &str) -> &'static EngineVariant {
     })
 }
 
+/// Resolve a workload name, or exit 2.
+fn workload_or_exit(name: &str) -> WorkloadSpec {
+    WorkloadSpec::parse(name).unwrap_or_else(|| {
+        eprintln!("unknown workload '{name}'");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.is_empty() {
@@ -84,8 +91,6 @@ fn main() {
     let mut out_dir = "results".to_string();
     let mut top = 5usize;
     let mut tolerance = 0.0f64;
-    let mut ignores: Vec<String> = Vec::new();
-    let mut smoke = false;
     // `trace`, `report`, `explain` (workload + engine) and `diff`
     // (two report files) take two positional operands before the flags.
     let has_operands =
@@ -125,14 +130,6 @@ fn main() {
                 tolerance = need_val(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
-            "--ignore" => {
-                ignores.push(need_val(i));
-                i += 2;
-            }
-            "--smoke" => {
-                smoke = true;
-                i += 1;
-            }
             _ => usage(),
         }
     }
@@ -140,6 +137,10 @@ fn main() {
         MachineConfig::paper_default(params.cores, ProtocolKind::MesiBaseline).validate()
     {
         eprintln!("--cores {}: {e}", params.cores);
+        std::process::exit(2);
+    }
+    if params.scale == 0 {
+        eprintln!("--scale 0: scale must be at least 1");
         std::process::exit(2);
     }
 
@@ -159,17 +160,12 @@ fn main() {
     }
 
     if command == "diff" {
-        run_diff(&args[1], &args[2], tolerance, &ignores);
+        run_diff(&args[1], &args[2], tolerance);
         return;
     }
 
     if command == "trajectory" {
         run_trajectory(&out_dir);
-        return;
-    }
-
-    if command == "bench-hot" {
-        run_bench_hot(smoke);
         return;
     }
 
@@ -281,13 +277,7 @@ fn main() {
 /// with observability off — exiting nonzero if the two reports differ
 /// (the zero-perturbation contract of `rce_common::obs`).
 fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
+    let w = workload_or_exit(workload);
     let v = engine_or_exit(engine);
     profile::enable();
     profile::set_phase("trace");
@@ -361,13 +351,7 @@ fn run_trace(workload: &str, engine: &str, params: &EvalParams, out_dir: &str) {
 /// file (pretty JSON plus a trailing newline), which is exactly what
 /// `scripts/ci.sh` diffs against.
 fn run_report(workload: &str, engine: &str, params: &EvalParams) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
+    let w = workload_or_exit(workload);
     let v = engine_or_exit(engine);
     let cfg = v.config(params.cores);
     let r = run_one_cfg(w, &cfg, params.scale, params.seed);
@@ -379,13 +363,7 @@ fn run_report(workload: &str, engine: &str, params: &EvalParams) {
 /// every delivered exception, plus the hottest conflict lines and core
 /// pairs.
 fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
-    let w = match WorkloadSpec::parse(workload) {
-        Some(w) => w,
-        None => {
-            eprintln!("unknown workload '{workload}'");
-            std::process::exit(2);
-        }
-    };
+    let w = workload_or_exit(workload);
     let v = engine_or_exit(engine);
     let cfg = v.config(params.cores);
     let r = run_one_obs(
@@ -476,11 +454,8 @@ fn run_explain(workload: &str, engine: &str, params: &EvalParams, top: usize) {
 
 /// `paper diff <a.json> <b.json>`: structural comparison of two report
 /// documents. Prints every out-of-tolerance drift with its JSON path
-/// and exits 1 if any exist; a clean comparison exits 0. `--ignore`
-/// (repeatable) drops drifts whose path contains the given substring —
-/// how CI skips the machine-dependent `hot_path.measured` section of
-/// the trajectory baseline while still gating everything else.
-fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
+/// and exits 1 if any exist; a clean comparison exits 0.
+fn run_diff(path_a: &str, path_b: &str, tolerance: f64) {
     let load = |p: &str| -> json::JsonValue {
         let text = std::fs::read_to_string(p).unwrap_or_else(|e| {
             eprintln!("cannot read {p}: {e}");
@@ -493,15 +468,7 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
     };
     let a = load(path_a);
     let b = load(path_b);
-    let mut drifts = diff_values(&a, &b, tolerance);
-    let before = drifts.len();
-    drifts.retain(|d| !ignores.iter().any(|s| d.path.contains(s.as_str())));
-    if before > drifts.len() {
-        eprintln!(
-            "({} drift(s) in --ignore'd paths skipped)",
-            before - drifts.len()
-        );
-    }
+    let drifts = diff_values(&a, &b, tolerance);
     if drifts.is_empty() {
         eprintln!("{path_a} and {path_b} match within {tolerance}% tolerance");
         return;
@@ -516,20 +483,23 @@ fn run_diff(path_a: &str, path_b: &str, tolerance: f64, ignores: &[String]) {
     std::process::exit(1);
 }
 
-/// Pinned workloads for `paper trajectory` (cores, scale and seed live
-/// in [`rce_bench::hotpath`]): small enough for a CI gate, fixed so the
-/// committed baseline stays comparable across machines and sessions.
+/// Pinned workloads, cores, scale and seed of `paper trajectory`: small
+/// enough for a CI gate, fixed so the committed baseline stays
+/// comparable across machines.
 const TRAJECTORY_WORKLOADS: [WorkloadSpec; 4] = [
     WorkloadSpec::PrivateOnly,
     WorkloadSpec::FalseSharing,
     WorkloadSpec::PingPong,
     WorkloadSpec::RacyPair,
 ];
+const TRAJECTORY_CORES: usize = 4;
+const TRAJECTORY_SCALE: u32 = 1;
+const TRAJECTORY_SEED: u64 = 42;
 
 /// `paper trajectory`: run the pinned micro-sweep and write
-/// `<out>/bench_trajectory.json`. CI diffs this against the committed
-/// baseline (`paper diff --tolerance`) to catch silent perf/behavior
-/// drift; the sweep is deterministic, so any drift is a real change.
+/// `<out>/bench_trajectory.json`. The file is a pure function of the
+/// code (simulated counters only, no wall time), so CI diffs it against
+/// the committed baseline at 0 % tolerance: any drift is a real change.
 fn run_trajectory(out_dir: &str) {
     let mut rows = Vec::new();
     for w in TRAJECTORY_WORKLOADS {
@@ -549,25 +519,11 @@ fn run_trajectory(out_dir: &str) {
             }));
         }
     }
-    // Simulator throughput rides along in a `hot_path` section: the
-    // `pinned` half (the speedup floor) diffs exactly like any other
-    // field, while the `measured` half is wall time — machine-dependent
-    // by nature — so CI compares with `--ignore hot_path.measured`.
-    let m = rce_bench::hotpath::measure(true);
     let payload = json!({
         "id": "bench_trajectory",
         "cores": TRAJECTORY_CORES,
         "scale": TRAJECTORY_SCALE,
         "seed": TRAJECTORY_SEED,
-        "hot_path": json!({
-            "pinned": json!({
-                "min_speedup_x": rce_bench::hotpath::MIN_SPEEDUP_X,
-            }),
-            "measured": json!({
-                "ns_per_access": m.ns_per_access,
-                "speedup_vs_hashmap": m.speedup_vs_hashmap,
-            }),
-        }),
         "rows": rows,
     });
     std::fs::create_dir_all(out_dir).expect("create results directory");
@@ -575,25 +531,6 @@ fn run_trajectory(out_dir: &str) {
     let mut file = std::fs::File::create(&path).expect("write trajectory file");
     writeln!(file, "{}", json::to_string_pretty(&payload)).unwrap();
     eprintln!("   wrote {path}");
-}
-
-/// `paper bench-hot [--smoke]`: time the simulator's hot-path storage
-/// against `std::collections` references doing identical work, plus
-/// the AIM spill/refill path and one pinned paper workload. Exits 1 if the
-/// flat raw-access path falls below
-/// [`rce_bench::hotpath::MIN_SPEEDUP_X`] — the throughput-regression
-/// gate `scripts/ci.sh` runs in `--smoke` mode.
-fn run_bench_hot(smoke: bool) {
-    let m = rce_bench::hotpath::run(smoke);
-    if m.speedup_vs_hashmap < rce_bench::hotpath::MIN_SPEEDUP_X {
-        eprintln!(
-            "FAIL: flat raw-access path is only {:.2}x the HashMap reference \
-             (floor {}x) — the hot path has regressed",
-            m.speedup_vs_hashmap,
-            rce_bench::hotpath::MIN_SPEEDUP_X
-        );
-        std::process::exit(1);
-    }
 }
 
 fn write_result(out_dir: &str, fig: &rce_bench::FigureOutput, params: &EvalParams) {

@@ -66,6 +66,15 @@ fn parse_opts(args: &[String]) -> Opts {
         }
         i += 2;
     }
+    // `WorkloadSpec::build` asserts both; refuse them here instead.
+    if o.cores == 0 {
+        eprintln!("--cores 0: need at least one core");
+        std::process::exit(2);
+    }
+    if o.scale == 0 {
+        eprintln!("--scale 0: scale must be at least 1");
+        std::process::exit(2);
+    }
     o
 }
 

@@ -17,16 +17,13 @@
 #![warn(missing_docs)]
 
 pub mod ablations;
-pub mod bencher;
 pub mod diff;
 pub mod figures;
-pub mod hotpath;
 pub mod profile;
 pub mod runner;
 pub mod summary;
 
 pub use ablations::Ablation;
-pub use bencher::Bencher;
 pub use figures::{Experiment, FigureOutput};
 pub use runner::{
     run_one, run_one_obs, run_suite, run_suite_with, EvalParams, RunKey, SweepResults,

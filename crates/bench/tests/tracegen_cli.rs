@@ -1,6 +1,8 @@
-//! `tracegen run` on bad input: every unreadable, malformed or
-//! structurally invalid trace file is reported as `<file>: <reason>`
-//! with exit status 2, never a panic.
+//! The CLIs on bad input: every unreadable, malformed or structurally
+//! invalid trace file given to `tracegen run` is reported as
+//! `<file>: <reason>`, and a zero `--cores` or `--scale` given to
+//! `paper` or `tracegen` as `--<flag> 0: <reason>`, each with exit
+//! status 2, never a panic.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -74,4 +76,45 @@ fn valid_trace_runs() {
     let (code, stderr) = run(&path);
     assert_eq!(code, Some(0), "stderr: {stderr}");
     std::fs::remove_file(path).ok();
+}
+
+/// Run `bin` with the whitespace-separated `args` (in the temp
+/// directory, so a stray `--out` lands there) and assert it refuses
+/// them: exit status 2, the `want` message on stderr and no panic.
+fn assert_refused(bin: &str, args: &str, want: &str) {
+    let out = Command::new(bin)
+        .args(args.split_whitespace())
+        .current_dir(std::env::temp_dir())
+        .output()
+        .expect("spawn binary");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "`{args}`: stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "`{args}` panicked: {stderr}");
+    assert!(stderr.starts_with(want), "`{args}`: got: {stderr}");
+}
+
+const PAPER: &str = env!("CARGO_BIN_EXE_paper");
+const TRACEGEN: &str = env!("CARGO_BIN_EXE_tracegen");
+
+#[test]
+fn zero_scale_is_refused() {
+    for (bin, args) in [
+        (PAPER, "report racy_pair CE --scale 0"),
+        (PAPER, "table2 --scale 0 --out scale0"),
+        (TRACEGEN, "info canneal --scale 0"),
+        (TRACEGEN, "dump canneal --scale 0 --out scale0.json"),
+    ] {
+        assert_refused(bin, args, "--scale 0: ");
+    }
+}
+
+#[test]
+fn zero_cores_is_refused() {
+    for (bin, args) in [
+        (PAPER, "report racy_pair CE --cores 0"),
+        (TRACEGEN, "info canneal --cores 0"),
+        (TRACEGEN, "dump canneal --cores 0 --out cores0.json"),
+    ] {
+        assert_refused(bin, args, "--cores 0: ");
+    }
 }
